@@ -38,6 +38,7 @@ from .core import (
     threshold_scrub,
 )
 from .analysis.sweeps import provision_grid, sweep_policies
+from .durable import atomic_write
 from .obs import ObsConfig, merge_profiles, write_trace
 from .params import CellSpec
 from .pcm.drift import DriftModel
@@ -474,6 +475,12 @@ def _profile_table(profile: dict[str, dict[str, float]], title: str) -> str:
     return format_table(["phase", "calls", "wall time"], rows, title=title)
 
 
+def _write_output(path: str, text: str, what: str) -> None:
+    """Write a ``--json``-style output file atomically and say so."""
+    atomic_write(path, text.encode())
+    print(f"wrote {what} to {Path(path)}")
+
+
 def _write_timeseries(path: str, labels: list[str], results: list) -> None:
     from .analysis.export import write_timeseries
 
@@ -852,13 +859,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
     if args.json:
-        import json
-
-        path = Path(args.json)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"wrote report to {path}")
+        _write_output(
+            args.json, json.dumps(report.to_dict(), indent=2) + "\n", "report"
+        )
 
     print(f"verification: {'PASSED' if report.passed else 'FAILED'}")
     return 0 if report.passed else 1
@@ -906,11 +909,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     _print_fleet_report(report)
 
     if args.json:
-        path = Path(args.json)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json() + "\n")
-        print(f"wrote fleet report to {path}")
+        _write_output(args.json, report.to_json() + "\n", "fleet report")
     return 0
 
 
@@ -955,11 +954,7 @@ def _cmd_fleet_screened(args: argparse.Namespace, spec, constraints) -> int:
     report = outcome.report
     _print_screened_report(report)
     if args.json:
-        path = Path(args.json)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json() + "\n")
-        print(f"wrote screened fleet report to {path}")
+        _write_output(args.json, report.to_json() + "\n", "screened fleet report")
     return 0
 
 
@@ -1121,11 +1116,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     report = final_report(args.root)
     _print_any_report(report)
     if args.json:
-        path = Path(args.json)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json() + "\n")
-        print(f"wrote fleet report to {path}")
+        _write_output(args.json, report.to_json() + "\n", "fleet report")
     return 0
 
 
@@ -1140,8 +1131,6 @@ def _status_line(status: dict) -> str:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .service import campaign_status
 
     status = campaign_status(args.root, lease_timeout=args.lease_timeout)
@@ -1185,11 +1174,7 @@ def cmd_status(args: argparse.Namespace) -> int:
                 f"{partial['uncorrectable']} UE, FIT {partial['fit']:.3g}"
             )
     if args.json:
-        path = Path(args.json)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json.dumps(status, indent=2) + "\n")
-        print(f"wrote status to {path}")
+        _write_output(args.json, json.dumps(status, indent=2) + "\n", "status")
     return 0
 
 
@@ -1305,20 +1290,13 @@ def cmd_provision_fleet(args: argparse.Namespace) -> int:
                 "assignment"
             )
 
-    def _write(path_str: str, text: str, what: str) -> None:
-        path = Path(path_str)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(f"wrote {what} to {path}")
-
     if args.json:
-        _write(args.json, report.to_json() + "\n", "provisioning report")
+        _write_output(args.json, report.to_json() + "\n", "provisioning report")
     if args.frontier_csv:
-        _write(args.frontier_csv, report.frontier_csv(), "frontier CSV")
+        _write_output(args.frontier_csv, report.frontier_csv(), "frontier CSV")
     if args.assignments:
         assignments = report.assignments_spec()
-        _write(
+        _write_output(
             args.assignments,
             json.dumps(assignments.to_dict(), indent=2, sort_keys=True) + "\n",
             "recommended per-lot spec",

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..sim.parallel import run_many
-from ..sim.runner import crossing_distribution_for
-from .checkpoint import (
-    CheckpointError,
-    append_device,
-    append_pending,
-    load_journal,
-    write_header,
-)
+from .checkpoint import CheckpointError, append_device, append_pending, open_journal
 from .report import DeviceRecord, FleetReport, aggregate
 from .spec import FleetSpec
 
@@ -150,23 +143,21 @@ class CampaignRunner:
 
         done: dict[int, DeviceRecord] = {}
         if self.checkpoint is not None:
-            if self.checkpoint.exists():
-                if not self.resume:
-                    raise CheckpointError(
-                        f"checkpoint {self.checkpoint} already exists; pass "
-                        "resume=True to continue it or remove it to restart"
-                    )
-                _, journaled = load_journal(self.checkpoint, expected_hash=spec_hash)
-                done = {
-                    index: DeviceRecord.from_dict(record)
-                    for index, record in journaled.items()
-                }
+            if self.checkpoint.exists() and not self.resume:
+                raise CheckpointError(
+                    f"checkpoint {self.checkpoint} already exists; pass "
+                    "resume=True to continue it or remove it to restart"
+                )
+            journaled = open_journal(self.checkpoint, spec_hash, spec.name)
+            done = {
+                index: DeviceRecord.from_dict(record)
+                for index, record in journaled.items()
+            }
+            if self.resume:
                 logger.info(
                     "campaign %s: resuming with %d/%d devices journaled",
                     spec.name, len(done), spec.devices,
                 )
-            else:
-                write_header(self.checkpoint, spec_hash, spec.name)
 
         targets = (
             list(range(spec.devices)) if self.indices is None else list(self.indices)
@@ -176,18 +167,6 @@ class CampaignRunner:
             pending = [i for i in pending if i < self.until]
         if self.stop_after is not None:
             pending = pending[: self.stop_after]
-
-        # Pre-warm the distribution cache once per distinct lot corner in
-        # the parent, mirroring run_many's single-config warm-up.
-        if self.jobs > 1 and pending:
-            seen: set = set()
-            for index in pending:
-                config = spec.device_spec(index).config
-                key = (config.cell_spec, config.temperature_k,
-                       config.compensated_sensing)
-                if key not in seen:
-                    seen.add(key)
-                    crossing_distribution_for(config)
 
         executed = 0
         batch_size = max(1, self.jobs * BATCH_PER_JOB)

@@ -2,10 +2,11 @@
 
 A campaign writes one journal per run: a header record binding the file
 to the spec's content hash, then one record per completed device, in
-completion order.  Appends are atomic at the line level (single
-``write`` of a full line, flushed and fsynced), so a killed campaign
-leaves at worst one torn trailing line - which :func:`load_journal`
-detects and drops, everything before it being intact.
+completion order.  The header is published whole and each record is a
+single fsynced line append (:mod:`repro.durable`), so a reader never
+finds a journal present but empty, and a killed campaign leaves at
+worst one torn trailing line - which :func:`load_journal` detects and
+drops, everything before it being intact.
 
 On ``--resume`` the header hash is revalidated against the spec, so a
 journal can never silently mix devices from two different campaigns; a
@@ -18,8 +19,10 @@ uninterrupted one: both aggregate the same serialized records.
 from __future__ import annotations
 
 import json
-import os
+from contextlib import suppress
 from pathlib import Path
+
+from ..durable import append_line, atomic_write
 
 #: Journal format version (independent of the spec version).
 JOURNAL_VERSION = 1
@@ -29,30 +32,42 @@ class CheckpointError(RuntimeError):
     """The journal is unusable: wrong spec, wrong version, or corrupt."""
 
 
-def write_header(path: str | Path, spec_hash: str, name: str) -> None:
-    """Create (truncate) the journal and write its header record."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+def _header(spec_hash: str, name: str) -> bytes:
     record = {
         "kind": "header",
         "version": JOURNAL_VERSION,
         "name": name,
         "spec_hash": spec_hash,
     }
-    with open(path, "w") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    return (json.dumps(record, sort_keys=True) + "\n").encode()
+
+
+def write_header(path: str | Path, spec_hash: str, name: str) -> None:
+    """Create (or replace) the journal holding just its header record."""
+    atomic_write(path, _header(spec_hash, name))
+
+
+def open_journal(path: str | Path, spec_hash: str, name: str) -> dict[int, dict]:
+    """Ready a journal for appends; returns the device records it holds.
+
+    An absent journal is created holding just its header - exclusively,
+    so racing openers agree on one file.  An existing one is loaded and
+    its spec hash checked; a torn final line left by a killed append is
+    cut off, so the next append starts a line of its own.
+    """
+    with suppress(FileExistsError):
+        atomic_write(path, _header(spec_hash, name), exclusive=True)
+        return {}
+    _, devices = load_journal(path, expected_hash=spec_hash)
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
+        atomic_write(path, data[: data.rfind(b"\n") + 1])
+    return devices
 
 
 def append_device(path: str | Path, record: dict) -> None:
-    """Append one completed-device record as a single flushed line."""
-    line = json.dumps({"kind": "device", **record}, sort_keys=True) + "\n"
-    with open(path, "a") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
+    """Append one completed-device record as a single fsynced line."""
+    append_line(path, json.dumps({"kind": "device", **record}, sort_keys=True))
 
 
 def append_pending(path: str | Path, indices: list[int]) -> None:
@@ -64,17 +79,8 @@ def append_pending(path: str | Path, indices: list[int]) -> None:
     (and humans reading the journal) can tell a deliberate early stop
     from an interrupted run.
     """
-    line = (
-        json.dumps(
-            {"kind": "pending", "indices": sorted(int(i) for i in indices)},
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    with open(path, "a") as handle:
-        handle.write(line)
-        handle.flush()
-        os.fsync(handle.fileno())
+    record = {"kind": "pending", "indices": sorted(int(i) for i in indices)}
+    append_line(path, json.dumps(record, sort_keys=True))
 
 
 def load_journal(
@@ -83,11 +89,16 @@ def load_journal(
     """Parse a journal into ``(header, {device_index: record})``.
 
     A torn *final* line (the kill-mid-append case) is dropped silently;
-    corruption anywhere else, a missing or alien header, an unsupported
-    version, or a ``spec_hash`` mismatch raise :class:`CheckpointError`.
+    any other malformed content - corruption before the final line, a
+    missing or alien header, an unsupported version, a record that is
+    not an object or whose index is not an integer - and a ``spec_hash``
+    mismatch raise :class:`CheckpointError`.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_bytes().decode().splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text") from None
     if not lines:
         raise CheckpointError(f"checkpoint {path} is empty")
 
@@ -96,7 +107,7 @@ def load_journal(
         if not line.strip():
             continue
         try:
-            parsed.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if number == len(lines) - 1:
                 break  # torn tail from a killed append; everything before is good
@@ -104,6 +115,11 @@ def load_journal(
                 f"checkpoint {path} line {number + 1} is corrupt "
                 "(not the final line, so this is not a torn append)"
             ) from None
+        if not isinstance(record, dict):
+            raise CheckpointError(
+                f"checkpoint {path} line {number + 1} is not a JSON object"
+            )
+        parsed.append(record)
 
     if not parsed or parsed[0].get("kind") != "header":
         raise CheckpointError(f"checkpoint {path} does not start with a header")
@@ -124,9 +140,10 @@ def load_journal(
     for number, record in enumerate(parsed[1:], start=2):
         if record.get("kind") == "pending":
             continue  # informational --until marker; remaining work is recomputed
-        if record.get("kind") != "device" or "index" not in record:
+        index = record.get("index")
+        if record.get("kind") != "device" or type(index) is not int:
             raise CheckpointError(
                 f"checkpoint {path} line {number} is not a device record"
             )
-        devices[int(record["index"])] = record
+        devices[index] = record
     return header, devices

@@ -33,15 +33,14 @@ surrogate expectations with the journaled MC records
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..durable import atomic_write
 from ..fleet.checkpoint import CheckpointError, load_journal
 from ..fleet.report import DeviceRecord
 from ..fleet.spec import FleetSpec
-from ..screen import ScreenConstraints, ScreenPlan, plan_screen
+from ..screen import ScreenConstraints, ScreenInvariantError, ScreenPlan, plan_screen
 from .shards import CampaignShard, plan_shards, plan_subset_shards
 
 #: Campaign directory format version.
@@ -52,21 +51,9 @@ class ServiceError(RuntimeError):
     """A campaign directory is missing, malformed, or mismatched."""
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Atomic JSON write: temp file in the same directory + ``os.replace``."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def write_json(path: Path, payload: dict) -> None:
+    """Atomically write one campaign-directory JSON file."""
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2).encode())
 
 
 @dataclass(frozen=True)
@@ -205,12 +192,12 @@ def submit_campaign(
     root.mkdir(parents=True, exist_ok=True)
     for sub in ("shards", "leases", "snapshots"):
         (root / sub).mkdir(exist_ok=True)
-    _write_json(
+    write_json(
         spec_path, {"spec_hash": spec_hash, "spec": spec.to_dict()}
     )
     if screen is not None:
-        _write_json(root / "screen.json", screen.to_dict())
-    _write_json(
+        write_json(root / "screen.json", screen.to_dict())
+    write_json(
         plan_path,
         {
             "version": PLAN_VERSION,
@@ -225,20 +212,37 @@ def submit_campaign(
     )
 
 
+#: What ``json`` and the ``from_dict`` constructors raise on malformed
+#: content (``JSONDecodeError`` and ``UnicodeDecodeError`` are ``ValueError``).
+_MALFORMED = (
+    LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+    ScreenInvariantError,
+)
+
+
 def load_campaign(root: str | Path) -> Campaign:
-    """Load a submitted campaign directory, validating its internal hash."""
+    """Load a submitted campaign directory, validating its internal hash.
+
+    Missing or malformed metadata raises :class:`ServiceError`.
+    """
     root = Path(root)
-    spec_path = root / "spec.json"
-    plan_path = root / "plan.json"
     try:
-        spec_payload = json.loads(spec_path.read_text())
-        plan_payload = json.loads(plan_path.read_text())
+        return _load_campaign(root)
     except FileNotFoundError as error:
         raise ServiceError(
             f"{root} is not a campaign directory (missing {error.filename})"
         ) from None
-    except json.JSONDecodeError as error:
-        raise ServiceError(f"corrupt campaign metadata under {root}: {error}") from None
+    except _MALFORMED as error:
+        raise ServiceError(
+            f"corrupt campaign metadata under {root}: {error!r}"
+        ) from error
+
+
+def _load_campaign(root: Path) -> Campaign:
+    spec_path = root / "spec.json"
+    plan_path = root / "plan.json"
+    spec_payload = json.loads(spec_path.read_text())
+    plan_payload = json.loads(plan_path.read_text())
 
     if plan_payload.get("version") != PLAN_VERSION:
         raise ServiceError(
@@ -258,10 +262,7 @@ def load_campaign(root: str | Path) -> Campaign:
     screen = None
     screen_path = root / "screen.json"
     if screen_path.exists():
-        try:
-            screen = ScreenPlan.from_dict(json.loads(screen_path.read_text()))
-        except (json.JSONDecodeError, KeyError, ValueError) as error:
-            raise ServiceError(f"corrupt screen plan {screen_path}: {error}") from None
+        screen = ScreenPlan.from_dict(json.loads(screen_path.read_text()))
         if screen.spec_hash != spec_hash:
             raise ServiceError(f"{screen_path} belongs to a different spec")
         if screen.devices != spec.devices:
@@ -273,11 +274,13 @@ def load_campaign(root: str | Path) -> Campaign:
     shards = tuple(
         CampaignShard.from_dict(entry) for entry in plan_payload["shards"]
     )
-    covered = [index for shard in shards for index in shard.indices]
     expected = (
         list(range(spec.devices)) if screen is None else list(screen.escalated)
     )
-    if covered != expected:
+    # Counts first: a malformed shard can span far more indices than exist.
+    if sum(shard.count for shard in shards) != len(expected) or [
+        index for shard in shards for index in shard.indices
+    ] != expected:
         what = (
             f"0..{spec.devices - 1}"
             if screen is None

@@ -1,13 +1,13 @@
 """Shard leases: exclusive-create claim files with heartbeats.
 
-A worker claims a shard by creating ``leases/<shard>.json`` with
-``O_CREAT | O_EXCL`` - the filesystem arbitrates, exactly one claimant
-wins.  While it holds the shard it refreshes the lease's ``heartbeat``
-timestamp through an atomic temp-file + ``os.replace`` rewrite, so
-readers never see a torn lease.  A lease whose heartbeat is older than
-the timeout (or whose pid is provably dead on this host) is *stale*:
-any worker - or an explicit ``pcm-scrub repair`` - may break it and
-re-queue the shard.
+A worker claims a shard by publishing ``leases/<shard>.json`` with an
+exclusive :func:`repro.durable.atomic_write` - the filesystem
+arbitrates, exactly one claimant wins.  While it holds the shard it
+refreshes the lease's ``heartbeat`` timestamp through an atomic
+rewrite, so readers never see a torn lease.  A lease whose heartbeat is
+older than the timeout (or whose pid is provably dead on this host) is
+*stale*: any worker - or an explicit ``pcm-scrub repair`` - may break it
+and re-queue the shard.
 
 The steal path (read, judge stale, unlink, re-acquire) has a classic
 window: between the staleness read and the unlink, the original owner
@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 import os
 import socket
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..durable import atomic_write
 
 #: Seconds without a heartbeat before a lease is presumed dead.  Workers
 #: heartbeat at every device completion *and* every mid-device snapshot
@@ -88,37 +89,19 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _write_lease(path: Path, lease: Lease, exclusive: bool) -> bool:
-    payload = json.dumps(lease.to_dict(), sort_keys=True)
-    if exclusive:
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        return True
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return True
+def _write_lease(path: Path, lease: Lease, exclusive: bool) -> None:
+    atomic_write(
+        path, json.dumps(lease.to_dict(), sort_keys=True).encode(), exclusive
+    )
 
 
 def try_acquire(path: str | Path, worker: str) -> Lease | None:
     """Claim the lease file exclusively; ``None`` when someone holds it."""
     path = Path(path)
+    if path.exists():
+        # Polling workers retry held leases constantly; losing costs a
+        # stat, not the fsynced temp file the exclusive write would make.
+        return None
     now = time.time()
     lease = Lease(
         worker=worker,
@@ -127,11 +110,15 @@ def try_acquire(path: str | Path, worker: str) -> Lease | None:
         acquired=now,
         heartbeat=now,
     )
-    return lease if _write_lease(path, lease, exclusive=True) else None
+    try:
+        _write_lease(path, lease, exclusive=True)
+    except FileExistsError:
+        return None
+    return lease
 
 
 def refresh(path: str | Path, lease: Lease) -> Lease:
-    """Atomically bump the lease's heartbeat (temp file + ``os.replace``)."""
+    """Atomically bump the lease's heartbeat."""
     path = Path(path)
     refreshed = Lease(
         worker=lease.worker,

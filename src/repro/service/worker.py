@@ -23,12 +23,12 @@ import logging
 import time as _time
 import uuid
 
-from ..fleet.checkpoint import append_device, load_journal, write_header
+from ..fleet.checkpoint import append_device, open_journal
 from ..fleet.report import DeviceRecord
 from ..obs.metrics import GLOBAL_REGISTRY
 from ..sim.snapshot import DEFAULT_SNAPSHOT_BUDGET, run_resumable
 from . import leases
-from .jobs import Campaign, _write_json, load_campaign
+from .jobs import Campaign, load_campaign, write_json
 from .shards import CampaignShard
 
 logger = logging.getLogger(__name__)
@@ -72,12 +72,7 @@ def run_shard(
     """
     spec = campaign.spec
     journal = campaign.journal_path(shard)
-    if journal.exists():
-        _, journaled = load_journal(journal, expected_hash=campaign.spec_hash)
-        done = set(journaled)
-    else:
-        write_header(journal, campaign.spec_hash, spec.name)
-        done = set()
+    done = set(open_journal(journal, campaign.spec_hash, spec.name))
 
     workload = spec.workload()
     started = _time.perf_counter()
@@ -105,7 +100,7 @@ def run_shard(
         if heartbeat is not None:
             heartbeat.beat()
 
-    _write_json(
+    write_json(
         campaign.marker_path(shard),
         {
             "shard": shard.shard_id,

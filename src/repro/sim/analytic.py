@@ -16,12 +16,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import tempfile
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..params import CellSpec
 from ..pcm.drift import DriftModel
 
@@ -254,33 +254,21 @@ def save_tabulation(
     """Persist a tabulated grid under ``key``; best-effort, atomic.
 
     Concurrent writers (parallel sweep workers racing on a cold cache) are
-    safe: each writes a private temp file and renames it into place.
-    Returns the cache path, or ``None`` when the write failed (read-only
-    cache dirs are tolerated, not fatal).
+    safe: :func:`repro.durable.atomic_write` gives each a private temp
+    file.  Returns the cache path, or ``None`` when the write failed
+    (read-only cache dirs are tolerated, not fatal).
     """
     path = tabulation_cache_path(key, directory)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.stem, suffix=".tmp", dir=directory
+        atomic_write(
+            path,
+            lambda handle: np.savez(
+                handle,
+                key=np.array(key),
+                grid=distribution.grid,
+                per_level_cdf=distribution.per_level_cdf,
+            ),
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(
-                    handle,
-                    key=np.array(key),
-                    grid=distribution.grid,
-                    per_level_cdf=distribution.per_level_cdf,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
     except OSError:
         return None
     return path

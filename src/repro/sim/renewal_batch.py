@@ -39,8 +39,6 @@ the ``surrogate_memo`` counter group.
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..obs.metrics import GLOBAL_REGISTRY
 from .analytic import CrossingDistribution, _log_comb, tabulation_cache_dir
 from .renewal import FiniteHorizonSolution, aligned_visits
@@ -142,22 +141,9 @@ def _save_propagation(
     """Persist one propagation; best-effort, atomic (see ``save_tabulation``)."""
     path = _propagation_cache_path(key, directory)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.stem, suffix=".tmp", dir=directory
+        atomic_write(
+            path, lambda handle: np.savez(handle, key=np.array(key), u=u, w=w)
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, key=np.array(key), u=u, w=w)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
     except OSError:
         return None
     return path

@@ -44,21 +44,21 @@ and a caller-supplied *fingerprint* (the service uses
 refuses version, fingerprint, engine-mode, or geometry mismatches rather
 than resuming into a different experiment.
 
-Snapshot files are written via temp-file + ``os.replace``, so a worker
-killed mid-save leaves the previous snapshot intact, never a torn one.
+Snapshot files are written with :func:`repro.durable.atomic_write`, so
+a worker killed mid-save leaves the previous snapshot intact, never a
+torn one.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time as _time
 from pathlib import Path
 
 import numpy as np
 
 from ..core.policy import ScrubPolicy
+from ..durable import atomic_write
 from ..core.scheduler import ScrubScheduler
 from ..pcm.energy import LEDGER_CATEGORIES
 from ..workloads.generators import DemandRates
@@ -255,28 +255,12 @@ class EngineSnapshot:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot atomically (temp file + ``os.replace``)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Write the snapshot atomically."""
         payload = dict(self.arrays)
         payload["__meta__"] = np.frombuffer(
             json.dumps(self.meta, sort_keys=True).encode(), dtype=np.uint8
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda handle: np.savez(handle, **payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "EngineSnapshot":

@@ -116,6 +116,10 @@ class TestResume:
         assert resumed.finished
         assert resumed.executed == spec.devices - 4
         assert report_json(resumed) == report_json(straight)
+        # The torn line was cut before the resume appended past it, so the
+        # journal still loads whole.
+        _, devices = load_journal(journal, expected_hash=spec.content_hash())
+        assert set(devices) == set(range(spec.devices))
 
     def test_resume_of_finished_campaign_executes_nothing(self, tmp_path):
         spec = hetero_spec(devices=2)

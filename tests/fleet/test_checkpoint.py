@@ -2,17 +2,32 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.checkpoint import (
     JOURNAL_VERSION,
     CheckpointError,
     append_device,
     load_journal,
+    open_journal,
     write_header,
 )
 
 HASH = "a" * 64
+
+#: Arbitrary JSON documents, non-finite floats included (``json`` reads
+#: and writes ``NaN``/``Infinity``).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
 
 
 def journal_with(tmp_path, records):
@@ -86,6 +101,59 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="not a device record"):
             load_journal(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "5\n",
+            "HEADER[1]\n",
+            'HEADER{"kind": "device", "index": "zz"}\n',
+            'HEADER{"kind": "device", "index": 1.5}\n',
+        ],
+        ids=["scalar-header", "array-record", "string-index", "float-index"],
+    )
+    def test_malformed_records_raise_checkpoint_error(self, tmp_path, body):
+        path = journal_with(tmp_path, [])
+        path.write_text(body.replace("HEADER", path.read_text()))
+        with pytest.raises(CheckpointError):
+            load_journal(path)
+
+    def test_undecodable_bytes_raise_checkpoint_error(self, tmp_path):
+        path = journal_with(tmp_path, [])
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "device", "index": 0, "lot": "\xff"}\n')
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_journal(path)
+
+    @settings(max_examples=200)
+    @given(
+        with_header=st.booleans(),
+        lines=st.lists(
+            st.one_of(
+                JSON_VALUES.map(json.dumps),
+                st.fixed_dictionaries(
+                    {"kind": st.sampled_from(["device", "pending"]),
+                     "index": JSON_VALUES}
+                ).map(json.dumps),
+                st.text(max_size=12),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_any_content_loads_or_raises_checkpoint_error(
+        self, tmp_path_factory, with_header, lines
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "journal.jsonl"
+        if with_header:
+            write_header(path, HASH, "fuzz")
+        with open(path, "a") as handle:
+            handle.write("\n".join(lines))
+        try:
+            header, devices = load_journal(path, expected_hash=HASH)
+        except CheckpointError:
+            return
+        assert header["kind"] == "header"
+        assert all(type(index) is int for index in devices)
+
 
 class TestBinding:
     def test_hash_mismatch_raises(self, tmp_path):
@@ -101,3 +169,48 @@ class TestBinding:
         path.write_text(content)
         with pytest.raises(CheckpointError, match="version"):
             load_journal(path)
+
+
+class TestPublication:
+    def test_interrupted_header_write_leaves_no_journal(self, tmp_path, monkeypatch):
+        # Regression: the journal used to be created before its header was
+        # written, so a crash in between left a file no reader could load.
+        path = tmp_path / "journal.jsonl"
+
+        def power_loss(fd):
+            raise OSError("power lost")
+
+        monkeypatch.setattr(os, "fsync", power_loss)
+        with pytest.raises(OSError, match="power lost"):
+            write_header(path, HASH, "test")
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOpenJournal:
+    def test_absent_journal_is_created_with_its_header(self, tmp_path):
+        path = tmp_path / "shards" / "journal.jsonl"
+        assert open_journal(path, HASH, "test") == {}
+        header, devices = load_journal(path, expected_hash=HASH)
+        assert header["name"] == "test"
+        assert devices == {}
+
+    def test_existing_journal_is_loaded_not_rewritten(self, tmp_path):
+        path = journal_with(tmp_path, [{"index": 0}, {"index": 3}])
+        before = path.read_bytes()
+        assert set(open_journal(path, HASH, "other name")) == {0, 3}
+        assert path.read_bytes() == before
+
+    def test_foreign_journal_refused(self, tmp_path):
+        path = journal_with(tmp_path, [])
+        with pytest.raises(CheckpointError, match="different campaign"):
+            open_journal(path, "b" * 64, "test")
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        path = journal_with(tmp_path, [{"index": 0}])
+        with open(path, "a") as handle:
+            handle.write('{"kind": "device", "index": 1, "summ')  # killed append
+        assert set(open_journal(path, HASH, "test")) == {0}
+        append_device(path, {"index": 1})
+        __, devices = load_journal(path, expected_hash=HASH)
+        assert set(devices) == {0, 1}

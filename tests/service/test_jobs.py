@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.fleet import FleetSpec, Lot, LotParameter
+from repro.screen import ScreenConstraints, ScreenDecision, ScreenPlan
 from repro.service import ServiceError, load_campaign, submit_campaign
 from repro.sim.config import SimulationConfig
+
+from ..fleet.test_checkpoint import JSON_VALUES
 
 
 def make_spec(devices=6, seed=2012) -> FleetSpec:
@@ -85,3 +91,87 @@ class TestLoad:
         campaign = submit_campaign(make_spec(), tmp_path / "camp", shards=2)
         fingerprint = campaign.device_fingerprint(3)
         assert fingerprint == f"{campaign.spec_hash}/device-3"
+
+
+def screened_files(root) -> dict[str, object]:
+    """Valid ``spec.json``/``plan.json``/``screen.json`` payloads.
+
+    The screen plan escalates every device, so the full-fleet shard plan
+    tiles its escalated subset and no surrogate run is needed.
+    """
+    campaign = submit_campaign(make_spec(), root, shards=3)
+    screen = ScreenPlan(
+        spec_hash=campaign.spec_hash,
+        constraints=ScreenConstraints(fit_limit=1.0),
+        decisions=tuple(
+            ScreenDecision(index=device.index, lot=device.lot, classification="uncertain")
+            for device in map(campaign.spec.device_spec, range(campaign.spec.devices))
+        ),
+    )
+    (root / "screen.json").write_text(json.dumps(screen.to_dict()))
+    return {
+        name: json.loads((root / name).read_text())
+        for name in ("spec.json", "plan.json", "screen.json")
+    }
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    children = (
+        value.items() if isinstance(value, dict)
+        else enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+class TestMalformedMetadata:
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("spec.json", lambda payload: {}),
+            ("spec.json", lambda payload: []),
+            ("spec.json", lambda payload: {**payload, "spec": []}),
+            ("plan.json", lambda payload: []),
+            ("plan.json", lambda payload: {**payload, "shards": [[]]}),
+            ("screen.json", lambda payload: []),
+            ("screen.json", lambda payload: {**payload, "constraints": []}),
+            ("screen.json", lambda payload: {**payload, "decisions": [1]}),
+        ],
+        ids=[
+            "spec-empty", "spec-array", "spec-array-spec", "plan-array",
+            "plan-array-shard", "screen-array", "screen-array-constraints",
+            "screen-scalar-decision",
+        ],
+    )
+    def test_malformed_file_raises_service_error(self, tmp_path, name, edit):
+        root = tmp_path / "camp"
+        files = screened_files(root)
+        (root / name).write_text(json.dumps(edit(files[name])))
+        with pytest.raises(ServiceError, match="corrupt campaign metadata"):
+            load_campaign(root)
+
+    def test_screened_campaign_loads(self, tmp_path):
+        screened_files(tmp_path / "camp")
+        assert load_campaign(tmp_path / "camp").screen is not None
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_any_edit_loads_or_raises_service_error(self, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("camp")
+        files = screened_files(root)
+        name = data.draw(st.sampled_from(sorted(files)))
+        path = data.draw(st.sampled_from(list(_paths(files[name]))))
+        value = data.draw(JSON_VALUES)
+        edited = value
+        if path:
+            edited = copy.deepcopy(files[name])
+            node = edited
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        (root / name).write_text(json.dumps(edited))
+        try:
+            load_campaign(root)
+        except ServiceError:
+            pass

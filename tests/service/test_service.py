@@ -201,6 +201,46 @@ class TestStreaming:
         assert final["finished"]
         assert json.dumps(final["report"], indent=2) == batch_report_json(spec)
 
+    def test_status_poll_never_sees_a_half_created_journal(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: a worker used to create its shard journal before
+        # writing the header into it, and a status poll landing in between
+        # raised CheckpointError ("is empty"), failing serve_campaign.
+        # Poll at every serialization and fsync of a shard run instead.
+        spec = make_spec(devices=2)
+        root = tmp_path / "camp"
+        campaign = submit_campaign(spec, root, shards=1)
+        real_dumps, real_fsync = json.dumps, os.fsync
+        polls, failures, busy = [], [], []
+
+        def poll():
+            if busy:
+                return  # the poll's own serialization
+            busy.append(True)
+            try:
+                polls.append(campaign_status(root, include_report=False))
+            except Exception as error:
+                failures.append(error)
+            finally:
+                busy.clear()
+
+        def dumps(*args, **kwargs):
+            poll()
+            return real_dumps(*args, **kwargs)
+
+        def fsync(fd):
+            poll()
+            return real_fsync(fd)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        monkeypatch.setattr(os, "fsync", fsync)
+        run_shard(campaign, campaign.shards[0])
+        monkeypatch.undo()
+        assert failures == []
+        assert len(polls) > 2
+        assert campaign_status(root)["finished"]
+
     def test_watch_returns_final_status(self, tmp_path):
         spec = make_spec(devices=3)
         root = tmp_path / "camp"
