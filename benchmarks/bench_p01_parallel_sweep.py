@@ -19,7 +19,8 @@ from repro import units
 from repro.analysis.sweeps import sweep_intervals
 from repro.obs import NULL_PROFILER
 from repro.sim import SimulationConfig, clear_distribution_cache
-from repro.sim.analytic import CrossingDistribution, tabulation_cache_dir
+from repro.sim.analytic import CrossingDistribution
+from repro.sim.cache import cache_dir
 from repro.sim.runner import DISTRIBUTION_CACHE_COUNTERS, crossing_distribution_for
 
 CONFIG = SimulationConfig(
@@ -68,7 +69,7 @@ def test_p01_parallel_sweep(benchmark, emit, bench_summary, bench_profiler):
         crossing_distribution_for(CONFIG)
     reload_seconds = time.perf_counter() - reload_started
 
-    disk_enabled = tabulation_cache_dir() is not None
+    disk_enabled = cache_dir() is not None
     if disk_enabled:
         assert DISTRIBUTION_CACHE_COUNTERS["disk"] >= 1
         assert reload_seconds < tabulate_seconds

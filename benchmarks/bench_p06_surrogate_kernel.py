@@ -2,9 +2,10 @@
 
 The acceptance demonstration for `repro.sim.renewal_batch`: a
 fleet-scale screening pass and a provisioning grid sweep, each run once
-through the batched finite-horizon kernel (the default) and once
-through the scalar per-device oracle (``batch=False`` - the original
-pure-Python recursion, kept as the reference implementation).  The
+through the batched finite-horizon kernel and once with the scalar
+per-device oracle (`repro.verify.equivalence.scalar_finite_horizon` - the
+original pure-Python recursion, kept as the reference implementation)
+swapped in for the kernel's name in the planner and the search.  The
 batched paths must
 
 * produce *identical* screen classifications, escalation sets, frontier
@@ -28,8 +29,11 @@ from repro.fleet.report import FIT_HOURS
 from repro.obs import NULL_PROFILER
 from repro.provision import CandidateSpace, ProvisionSearch
 from repro.screen import ScreenConstraints, plan_screen
+from repro.provision import search
+from repro.screen import planner
 from repro.sim.config import SimulationConfig
 from repro.sim.renewal_batch import clear_propagation_cache
+from repro.verify.equivalence import scalar_finite_horizon
 
 MIN_SPEEDUP = 5.0
 
@@ -103,7 +107,7 @@ def provision_spec() -> FleetSpec:
     )
 
 
-def compute(profiler=NULL_PROFILER):
+def compute(monkeypatch, profiler=NULL_PROFILER):
     results: dict[str, object] = {}
 
     spec = screen_spec()
@@ -123,8 +127,9 @@ def compute(profiler=NULL_PROFILER):
     results["screen_batched_wall"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    with profiler.span("p06.screen_scalar"):
-        plan_scalar = plan_screen(spec, constraints, batch=False)
+    with profiler.span("p06.screen_scalar"), monkeypatch.context() as patch:
+        patch.setattr(planner, "finite_horizon_batch", scalar_finite_horizon)
+        plan_scalar = plan_screen(spec, constraints)
     results["screen_scalar_wall"] = time.perf_counter() - started
     results["screen"] = (spec, plan_batched, plan_scalar)
 
@@ -136,18 +141,19 @@ def compute(profiler=NULL_PROFILER):
     results["provision_batched_wall"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    with profiler.span("p06.provision_scalar"):
-        report_scalar = ProvisionSearch(
-            pspec, PROVISION_SPACE, batch=False
-        ).run()
+    with profiler.span("p06.provision_scalar"), monkeypatch.context() as patch:
+        patch.setattr(search, "finite_horizon_batch", scalar_finite_horizon)
+        report_scalar = ProvisionSearch(pspec, PROVISION_SPACE).run()
     results["provision_scalar_wall"] = time.perf_counter() - started
     results["provision"] = (pspec, report_batched, report_scalar)
     return results
 
 
-def test_p06_surrogate_kernel(benchmark, emit, bench_summary, bench_profiler):
+def test_p06_surrogate_kernel(
+    benchmark, emit, bench_summary, bench_profiler, monkeypatch
+):
     results = benchmark.pedantic(
-        compute, args=(bench_profiler,), rounds=1, iterations=1
+        compute, args=(monkeypatch, bench_profiler), rounds=1, iterations=1
     )
     spec, plan_batched, plan_scalar = results["screen"]
     pspec, report_batched, report_scalar = results["provision"]

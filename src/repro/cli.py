@@ -1217,34 +1217,37 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_provision_fleet(args: argparse.Namespace) -> int:
     from .fleet import FleetSpec
-    from .provision import CandidateSpace, CostModel, ProvisionSearch
+    from .provision import CandidateSpace, CostModel, ProvisionError, ProvisionSearch
 
     spec = FleetSpec.from_file(args.spec)
     thresholds: tuple = (
         (None,) if args.thresholds is None else tuple(args.thresholds)
     )
-    space = CandidateSpace(
-        policies=tuple(args.policies),
-        intervals=tuple(args.intervals),
-        strengths=tuple(args.strengths),
-        thresholds=thresholds,
-        with_detector=args.with_detector,
-    )
-    cost_model = CostModel(
-        dollars_per_gib=args.dollars_per_gib,
-        carbon_intensity_kg_per_kwh=args.carbon_intensity,
-        embodied_kg_per_gib=args.embodied_carbon,
-        amortization_years=args.amortization_years,
-    )
-    report = ProvisionSearch(
-        spec,
-        space=space,
-        cost_model=cost_model,
-        fit_limit=args.fit_limit,
-        confidence=args.confidence,
-        jobs=_jobs(args),
-        exhaustive=args.exhaustive,
-    ).run()
+    try:
+        space = CandidateSpace(
+            policies=tuple(args.policies),
+            intervals=tuple(args.intervals),
+            strengths=tuple(args.strengths),
+            thresholds=thresholds,
+            with_detector=args.with_detector,
+        )
+        cost_model = CostModel(
+            dollars_per_gib=args.dollars_per_gib,
+            carbon_intensity_kg_per_kwh=args.carbon_intensity,
+            embodied_kg_per_gib=args.embodied_carbon,
+            amortization_years=args.amortization_years,
+        )
+        report = ProvisionSearch(
+            spec,
+            space=space,
+            cost_model=cost_model,
+            fit_limit=args.fit_limit,
+            confidence=args.confidence,
+            jobs=_jobs(args),
+            exhaustive=args.exhaustive,
+        ).run()
+    except ProvisionError as error:
+        raise SystemExit(f"pcm-scrub: {error}") from None
 
     candidates = report.candidates_evaluated
     mc_runs = report.mc_device_runs

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..sim.parallel import run_many
-from .checkpoint import CheckpointError, append_device, append_pending, open_journal
+from .checkpoint import CheckpointError, append_device, append_pending, device_records, open_journal
 from .report import DeviceRecord, FleetReport, aggregate
 from .spec import FleetSpec
 
@@ -149,10 +149,7 @@ class CampaignRunner:
                     "resume=True to continue it or remove it to restart"
                 )
             journaled = open_journal(self.checkpoint, spec_hash, spec.name)
-            done = {
-                index: DeviceRecord.from_dict(record)
-                for index, record in journaled.items()
-            }
+            done = device_records(self.checkpoint, journaled)
             if self.resume:
                 logger.info(
                     "campaign %s: resuming with %d/%d devices journaled",

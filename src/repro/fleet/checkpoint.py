@@ -23,6 +23,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from ..durable import append_line, atomic_write
+from .report import DeviceRecord
 
 #: Journal format version (independent of the spec version).
 JOURNAL_VERSION = 1
@@ -147,3 +148,17 @@ def load_journal(
             )
         devices[index] = record
     return header, devices
+
+
+def device_records(path: str | Path, journaled: dict[int, dict]) -> dict[int, DeviceRecord]:
+    """Convert :func:`load_journal`'s device records; a bad one raises CheckpointError."""
+    records = {}
+    for index, record in journaled.items():
+        where = f"checkpoint {path} device {index}"
+        try:
+            records[index] = DeviceRecord.from_dict(record)
+        except KeyError as error:
+            raise CheckpointError(f"{where} has no {error} field") from None
+        except (TypeError, ValueError, ArithmeticError) as error:
+            raise CheckpointError(f"{where} is malformed: {error}") from None
+    return records

@@ -23,12 +23,17 @@ uses for embodied-carbon-per-effective-capacity comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .. import units
 
 #: Joules per kilowatt-hour (grid carbon intensity is quoted per kWh).
 J_PER_KWH = 3.6e6
+
+
+class ProvisionError(ValueError):
+    """A provisioning request is malformed."""
 
 
 @dataclass(frozen=True)
@@ -50,14 +55,18 @@ class CostModel:
     amortization_years: float = 5.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ProvisionError(f"{field.name} must be finite, got {value!r}")
         if self.dollars_per_gib < 0:
-            raise ValueError("dollars_per_gib must be >= 0")
+            raise ProvisionError("dollars_per_gib must be >= 0")
         if self.carbon_intensity_kg_per_kwh < 0:
-            raise ValueError("carbon_intensity_kg_per_kwh must be >= 0")
+            raise ProvisionError("carbon_intensity_kg_per_kwh must be >= 0")
         if self.embodied_kg_per_gib < 0:
-            raise ValueError("embodied_kg_per_gib must be >= 0")
+            raise ProvisionError("embodied_kg_per_gib must be >= 0")
         if self.amortization_years <= 0:
-            raise ValueError("amortization_years must be positive")
+            raise ProvisionError("amortization_years must be positive")
 
     # -- per-axis contributions ----------------------------------------------
 

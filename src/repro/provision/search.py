@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,20 +54,16 @@ from ..fleet.report import FIT_HOURS, per_gib
 from ..fleet.spec import DeviceSpec, FleetSpec, Lot
 from ..obs.metrics import GLOBAL_REGISTRY
 from ..pcm.energy import OperationCosts
-from ..screen.planner import _poisson_predictive, regime_reasons
+from ..screen.planner import count_budget, poisson_predictive, regime_reasons
 from ..sim.parallel import POLICY_FACTORIES
-from ..sim.renewal import FiniteHorizonSolution, RenewalModel
+from ..sim.renewal import FiniteHorizonSolution
 from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
 from ..sim.runner import crossing_distribution_for
-from .cost import CostModel
+from .cost import CostModel, ProvisionError
 from .knee import knee_point
 from .pareto import ParetoPoint, pareto_frontier
 
 logger = logging.getLogger(__name__)
-
-
-class ProvisionError(ValueError):
-    """A provisioning request is malformed."""
 
 
 #: Evaluation provenance labels.
@@ -107,6 +104,10 @@ class Candidate:
             raise ProvisionError(
                 f"unknown candidate policy {self.policy!r}; "
                 f"available: {sorted(POLICY_FACTORIES)}"
+            )
+        if not math.isfinite(self.interval):
+            raise ProvisionError(
+                f"candidate interval must be finite, got {self.interval!r}"
             )
         if self.interval <= 0:
             raise ProvisionError("candidate interval must be positive")
@@ -465,14 +466,6 @@ class ProvisionSearch:
         Hand-picked :class:`Candidate` entries appended to the grid
         (deduplicated against it) - e.g. one DRAM-style ``basic``
         baseline without paying for it at every grid interval.
-    batch:
-        Evaluate each lot's whole candidate grid through the batched
-        renewal kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`,
-        the default).  ``batch=False`` keeps the per-pair scalar
-        :meth:`RenewalModel.finite_horizon` path as the reference oracle
-        (identical frontiers up to rounding noise); either way each
-        device's distribution is tabulated once per lot and reused
-        across every candidate.
     """
 
     def __init__(
@@ -485,8 +478,9 @@ class ProvisionSearch:
         jobs: int = 1,
         exhaustive: bool = False,
         extra_candidates: tuple = (),
-        batch: bool = True,
     ):
+        if fit_limit is not None and not math.isfinite(fit_limit):
+            raise ProvisionError(f"fit_limit must be finite, got {fit_limit!r}")
         if fit_limit is not None and fit_limit <= 0:
             raise ProvisionError("fit_limit must be positive (or None)")
         if not 0 < confidence < 1:
@@ -498,7 +492,6 @@ class ProvisionSearch:
         self.confidence = confidence
         self.jobs = max(1, jobs)
         self.exhaustive = exhaustive
-        self.batch = batch
         self.extra_candidates = tuple(extra_candidates)
         for candidate in self.extra_candidates:
             if not isinstance(candidate, Candidate):
@@ -534,9 +527,7 @@ class ProvisionSearch:
         once, threaded in by the caller) shared across candidates -
         and ``regime_escalated`` lists, per candidate, the device
         positions that must go to MC regardless of any budget check
-        (out of the surrogate's regime, or ``exhaustive``).  With
-        ``batch=False`` the same pairs are solved through per-pair scalar
-        :meth:`RenewalModel.finite_horizon` calls, one model per device.
+        (out of the surrogate's regime, or ``exhaustive``).
         """
         horizon = self.spec.base_config.horizon
         tasks: list[RenewalTask] = []
@@ -559,22 +550,7 @@ class ProvisionSearch:
                     )
                 )
             regime_escalated.append(escalated)
-        if self.batch:
-            solved = finite_horizon_batch(tasks, horizon)
-        else:
-            models: dict[int, RenewalModel] = {}
-            solved = []
-            for (_, pos), task in zip(owners, tasks):
-                model = models.get(pos)
-                if model is None:
-                    model = models[pos] = RenewalModel(
-                        task.distribution, task.cells_per_line
-                    )
-                solved.append(
-                    model.finite_horizon(
-                        task.interval, task.t_ecc, task.threshold, horizon
-                    )
-                )
+        solved = finite_horizon_batch(tasks, horizon)
         return dict(zip(owners, solved)), regime_escalated
 
     # -- per-candidate evaluation ---------------------------------------------
@@ -600,16 +576,12 @@ class ProvisionSearch:
         spec = self.spec
         horizon = spec.base_config.horizon
         horizon_hours = horizon / 3600.0
-        count_limit = (
-            None
-            if self.fit_limit is None
-            else self.fit_limit * horizon_hours / FIT_HOURS / spec.capacity_scale
-        )
 
         costs = self._surrogate_costs(candidate)
         members = [pos for pos in range(len(devices)) if (ci, pos) in solutions]
         straddle: set[int] = set()
-        if count_limit is not None and members:
+        if self.fit_limit is not None and members:
+            count_limit = count_budget(spec, self.fit_limit)
             lam = np.array(
                 [
                     solutions[(ci, pos)].expected_ue
@@ -617,7 +589,7 @@ class ProvisionSearch:
                     for pos in members
                 ]
             )
-            lo, hi = _poisson_predictive(lam, self.confidence)
+            lo, hi = poisson_predictive(lam, self.confidence)
             straddle = {
                 pos
                 for i, pos in enumerate(members)

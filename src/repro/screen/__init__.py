@@ -3,8 +3,8 @@
 The campaign engine (:mod:`repro.fleet`) Monte-Carlos every device; this
 package makes million-device campaigns tractable by resolving most
 devices through the *exact* finite-horizon renewal surrogate
-(:meth:`repro.sim.renewal.RenewalModel.finite_horizon`) and spending MC
-only where the math is uncertain:
+(:mod:`repro.sim.renewal`) and spending MC only where the math is
+uncertain:
 
 * :mod:`repro.screen.planner` - classify every lot-sampled device point
   as ``pass`` / ``fail`` / ``uncertain`` against FIT / availability

@@ -3,11 +3,11 @@
 A million-device campaign cannot Monte-Carlo every device.  But most
 devices in a real fleet are nowhere near their reliability budget, and
 for the paper's own modelling assumptions the finite-horizon renewal
-solution (:meth:`repro.sim.renewal.RenewalModel.finite_horizon`) is an
-*exact* surrogate for the engine: same expected UE and write-back
-counts, same per-line survival probability, at closed-form cost.  The
-planner evaluates every lot-sampled device parameter point through that
-surrogate and classifies it against the campaign's constraints:
+solution (:mod:`repro.sim.renewal`) is an *exact* surrogate for the
+engine: same expected UE and write-back counts, same per-line survival
+probability, at closed-form cost.  The planner evaluates every
+lot-sampled device parameter point through that surrogate and
+classifies it against the campaign's constraints:
 
 ``pass``
     the device's predictive interval clears every constraint - no MC;
@@ -28,8 +28,9 @@ classification tests pin.  In-regime devices are evaluated through the
 grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
 - one call per lot-policy parameter group with vectorized Poisson
 predictive bounds - and ``jobs > 1`` fans contiguous device chunks over
-the process pool; ``batch=False`` keeps the per-device scalar path as
-the reference oracle.
+the process pool.  The per-device scalar recursion is the reference
+oracle (:func:`repro.verify.equivalence.scalar_finite_horizon`), run
+through the same :func:`classify` step by the ``surrogate_batch`` law.
 
 The *FIT* constraint is a per-device budget on the capacity-scaled FIT
 (the same scaling as :attr:`repro.fleet.report.FleetReport.fit_scaled`).
@@ -44,6 +45,8 @@ configurable margin band that routes borderline devices to MC.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +56,7 @@ from ..fleet.report import FIT_HOURS
 from ..fleet.spec import DeviceSpec, FleetSpec
 from ..obs.metrics import GLOBAL_REGISTRY
 from ..sim.parallel import parallel_map
-from ..sim.renewal import RenewalModel
+from ..sim.renewal import FiniteHorizonSolution
 from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
 from ..sim.runner import crossing_distribution_for
 
@@ -90,6 +93,10 @@ class ScreenConstraints:
     availability_margin: float = 0.02
 
     def __post_init__(self) -> None:
+        for name in ("fit_limit", "min_availability", "confidence", "availability_margin"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ScreenError(f"{name} must be finite, got {value!r}")
         if self.fit_limit is None and self.min_availability is None:
             raise ScreenError(
                 "screening needs at least one constraint: fit_limit "
@@ -294,15 +301,29 @@ def regime_reasons(spec: FleetSpec, device: DeviceSpec) -> tuple[str, ...]:
     return tuple(reasons)
 
 
-def _poisson_predictive(lam, confidence: float):
-    """Central predictive interval(s) on Poisson(``lam``) realizations.
+def surrogate_point(spec: FleetSpec, lot: str) -> tuple[float, int, int]:
+    """The lot-effective threshold-policy ``(interval, strength, threshold)``."""
+    _, policy_kwargs = spec.policy_for(lot)
+    interval = float(policy_kwargs.get("interval", 0.0))
+    strength = int(policy_kwargs.get("strength", 4))
+    threshold = policy_kwargs.get("threshold")
+    threshold = max(1, strength - 1) if threshold is None else int(threshold)
+    return interval, strength, threshold
 
-    Scalar ``lam`` returns ``(int, int)``; an array returns a pair of
-    ``int64`` arrays with the same truncation semantics per element
-    (non-positive rates map to the degenerate ``(0, 0)`` interval).
+
+def count_budget(spec: FleetSpec, fit_limit: float) -> float:
+    """The per-device horizon UE count ``c*`` equivalent to ``fit_limit``."""
+    horizon_hours = spec.base_config.horizon / 3600.0
+    return fit_limit * horizon_hours / FIT_HOURS / spec.capacity_scale
+
+
+def poisson_predictive(lam: np.ndarray, confidence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central predictive ``int64`` bounds on each Poisson(``lam``) realization.
+
+    Non-positive rates map to the degenerate ``(0, 0)`` interval.
     """
     alpha = 1.0 - confidence
-    rates = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    rates = np.asarray(lam, dtype=np.float64)
     lo = np.zeros(rates.shape, dtype=np.int64)
     hi = np.zeros(rates.shape, dtype=np.int64)
     positive = rates > 0.0
@@ -313,9 +334,71 @@ def _poisson_predictive(lam, confidence: float):
         hi[positive] = np.maximum(
             0, poisson.ppf(1.0 - alpha / 2.0, rates[positive]).astype(np.int64)
         )
-    if np.ndim(lam) == 0:
-        return int(lo[0]), int(hi[0])
     return lo, hi
+
+
+def classify(
+    spec: FleetSpec,
+    constraints: ScreenConstraints,
+    entries: Sequence[tuple[int, DeviceSpec]],
+    solutions: Sequence[FiniteHorizonSolution],
+) -> list[ScreenDecision]:
+    """Classify in-regime ``(index, device)`` entries from their solutions.
+
+    ``solutions`` holds each entry's exact per-line finite-horizon
+    solution; a device's verdict depends on its own solution only.
+    """
+    horizon_hours = spec.base_config.horizon / 3600.0
+    num_lines = spec.base_config.num_lines
+    lam = np.array([s.expected_ue for s in solutions]) * num_lines
+    writes = np.array([s.expected_writes for s in solutions]) * num_lines
+    no_ue = np.array([s.no_ue_probability ** num_lines for s in solutions])
+    fit_scaled = lam / horizon_hours * FIT_HOURS * spec.capacity_scale
+    if constraints.fit_limit is not None:
+        count_limit = count_budget(spec, constraints.fit_limit)
+        lo, hi = poisson_predictive(lam, constraints.confidence)
+
+    decisions = []
+    for pos, (index, device) in enumerate(entries):
+        verdicts = []
+        escalation = []
+        if constraints.fit_limit is not None:
+            if hi[pos] <= count_limit:
+                verdicts.append(PASS)
+            elif lo[pos] > count_limit:
+                verdicts.append(FAIL)
+            else:
+                verdicts.append(UNCERTAIN)
+                escalation.append("fit_ci_overlap")
+        if constraints.min_availability is not None:
+            margin = constraints.availability_margin
+            if no_ue[pos] >= constraints.min_availability + margin:
+                verdicts.append(PASS)
+            elif no_ue[pos] < constraints.min_availability - margin:
+                verdicts.append(FAIL)
+            else:
+                verdicts.append(UNCERTAIN)
+                escalation.append("availability_margin")
+
+        if FAIL in verdicts:
+            classification, reasons = FAIL, ()
+        elif UNCERTAIN in verdicts:
+            classification, reasons = UNCERTAIN, tuple(escalation)
+        else:
+            classification, reasons = PASS, ()
+        decisions.append(
+            ScreenDecision(
+                index=index,
+                lot=device.lot,
+                classification=classification,
+                reasons=reasons,
+                expected_ue=float(lam[pos]),
+                expected_writes=float(writes[pos]),
+                no_ue_probability=float(no_ue[pos]),
+                fit_scaled=float(fit_scaled[pos]),
+            )
+        )
+    return decisions
 
 
 def _chunk_bounds(devices: int, jobs: int) -> list[tuple[int, int]]:
@@ -333,8 +416,7 @@ def _chunk_bounds(devices: int, jobs: int) -> list[tuple[int, int]]:
 
 def _plan_chunk(payload) -> list[ScreenDecision]:
     """Worker entry for the ``jobs > 1`` fan-out (must stay picklable)."""
-    spec, constraints, start, stop, batch = payload
-    return _plan_decisions(spec, constraints, start, stop, batch)
+    return _plan_decisions(*payload)
 
 
 def _plan_decisions(
@@ -342,30 +424,15 @@ def _plan_decisions(
     constraints: ScreenConstraints,
     start: int,
     stop: int,
-    batch: bool,
 ) -> list[ScreenDecision]:
     """Classify the contiguous device range ``[start, stop)``.
 
     In-regime devices are grouped by their lot-effective threshold-policy
     point ``(interval, strength, threshold, cells_per_line)`` - one
-    batched kernel call per group, with the Poisson predictive bounds
-    vectorized over the group.  ``batch=False`` swaps the kernel for
-    per-device scalar :meth:`RenewalModel.finite_horizon` calls through
-    the *same* classification code, making it the reference oracle the
-    ``surrogate_batch`` equivalence law compares against.  Each device's
-    arithmetic is independent of its group-mates, so the decisions do not
-    depend on the chunking.
+    batched kernel call and one :func:`classify` pass per group.  Each
+    device's arithmetic is independent of its group-mates, so the
+    decisions do not depend on the chunking.
     """
-    horizon = spec.base_config.horizon
-    horizon_hours = horizon / 3600.0
-    num_lines = spec.base_config.num_lines
-    # Count budget equivalent to the scaled-FIT limit (see module doc).
-    count_limit = (
-        None
-        if constraints.fit_limit is None
-        else constraints.fit_limit * horizon_hours / FIT_HOURS / spec.capacity_scale
-    )
-
     by_index: dict[int, ScreenDecision] = {}
     groups: dict[tuple[float, int, int, int], list[tuple[int, DeviceSpec]]] = {}
     for index in range(start, stop):
@@ -377,86 +444,25 @@ def _plan_decisions(
                 classification=UNCERTAIN, reasons=reasons,
             )
             continue
-        # The lot-effective threshold-policy parameters (per-lot
-        # provisioned fleets screen each lot under its own assignment).
-        _, policy_kwargs = spec.policy_for(device.lot)
-        interval = float(policy_kwargs.get("interval", 0.0))
-        strength = int(policy_kwargs.get("strength", 4))
-        threshold = policy_kwargs.get("threshold")
-        threshold = max(1, strength - 1) if threshold is None else int(threshold)
-        key = (interval, strength, threshold, device.config.cells_per_line)
+        key = (*surrogate_point(spec, device.lot), device.config.cells_per_line)
         groups.setdefault(key, []).append((index, device))
 
     for (interval, strength, threshold, cells), entries in groups.items():
-        distributions = [
-            crossing_distribution_for(device.config) for _, device in entries
-        ]
-        if batch:
-            solutions = finite_horizon_batch(
-                [
-                    RenewalTask(
-                        distribution=distribution,
-                        cells_per_line=cells,
-                        interval=interval,
-                        t_ecc=strength,
-                        threshold=threshold,
-                    )
-                    for distribution in distributions
-                ],
-                horizon,
-            )
-        else:
-            solutions = [
-                RenewalModel(distribution, cells).finite_horizon(
-                    interval, strength, threshold, horizon
+        solutions = finite_horizon_batch(
+            [
+                RenewalTask(
+                    distribution=crossing_distribution_for(device.config),
+                    cells_per_line=cells,
+                    interval=interval,
+                    t_ecc=strength,
+                    threshold=threshold,
                 )
-                for distribution in distributions
-            ]
-
-        lam = np.array([s.expected_ue for s in solutions]) * num_lines
-        writes = np.array([s.expected_writes for s in solutions]) * num_lines
-        no_ue = np.array([s.no_ue_probability ** num_lines for s in solutions])
-        fit_scaled = lam / horizon_hours * FIT_HOURS * spec.capacity_scale
-        if count_limit is not None:
-            lo, hi = _poisson_predictive(lam, constraints.confidence)
-
-        for pos, (index, device) in enumerate(entries):
-            verdicts = []
-            escalation = []
-            if count_limit is not None:
-                if hi[pos] <= count_limit:
-                    verdicts.append(PASS)
-                elif lo[pos] > count_limit:
-                    verdicts.append(FAIL)
-                else:
-                    verdicts.append(UNCERTAIN)
-                    escalation.append("fit_ci_overlap")
-            if constraints.min_availability is not None:
-                margin = constraints.availability_margin
-                if no_ue[pos] >= constraints.min_availability + margin:
-                    verdicts.append(PASS)
-                elif no_ue[pos] < constraints.min_availability - margin:
-                    verdicts.append(FAIL)
-                else:
-                    verdicts.append(UNCERTAIN)
-                    escalation.append("availability_margin")
-
-            if FAIL in verdicts:
-                classification, reasons = FAIL, ()
-            elif UNCERTAIN in verdicts:
-                classification, reasons = UNCERTAIN, tuple(escalation)
-            else:
-                classification, reasons = PASS, ()
-            by_index[index] = ScreenDecision(
-                index=index,
-                lot=device.lot,
-                classification=classification,
-                reasons=reasons,
-                expected_ue=float(lam[pos]),
-                expected_writes=float(writes[pos]),
-                no_ue_probability=float(no_ue[pos]),
-                fit_scaled=float(fit_scaled[pos]),
-            )
+                for _, device in entries
+            ],
+            spec.base_config.horizon,
+        )
+        for decision in classify(spec, constraints, entries, solutions):
+            by_index[decision.index] = decision
     return [by_index[index] for index in range(start, stop)]
 
 
@@ -464,22 +470,19 @@ def plan_screen(
     spec: FleetSpec,
     constraints: ScreenConstraints,
     jobs: int = 1,
-    batch: bool = True,
 ) -> ScreenPlan:
     """Classify every device of ``spec`` against ``constraints``.
 
     Pure and deterministic: the result depends only on the spec and the
-    constraints - not on ``jobs`` (contiguous chunks fan out over
+    constraints, not on ``jobs`` (contiguous chunks fan out over
     :func:`repro.sim.parallel.parallel_map` and merge back in device
-    order) and not on ``batch`` beyond rounding noise (``batch=False``
-    replays the classification through per-device scalar renewal solves;
-    the ``surrogate_batch`` equivalence law pins the agreement).  Also
-    publishes ``screen_*`` gauges into the process metrics registry.
+    order).  Also publishes ``screen_*`` gauges into the process metrics
+    registry.
     """
     jobs = max(1, int(jobs))
     if jobs > 1 and spec.devices > 1:
         chunks = [
-            (spec, constraints, chunk_start, chunk_stop, batch)
+            (spec, constraints, chunk_start, chunk_stop)
             for chunk_start, chunk_stop in _chunk_bounds(spec.devices, jobs)
         ]
         decisions = [
@@ -488,7 +491,7 @@ def plan_screen(
             for decision in chunk
         ]
     else:
-        decisions = _plan_decisions(spec, constraints, 0, spec.devices, batch)
+        decisions = _plan_decisions(spec, constraints, 0, spec.devices)
 
     plan = ScreenPlan(
         spec_hash=spec.content_hash(),

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..durable import atomic_write
-from ..fleet.checkpoint import CheckpointError, load_journal
+from ..fleet.checkpoint import CheckpointError, device_records, load_journal
 from ..fleet.report import DeviceRecord
 from ..fleet.spec import FleetSpec
 from ..screen import ScreenConstraints, ScreenInvariantError, ScreenPlan, plan_screen
@@ -117,15 +117,13 @@ class Campaign:
         if not path.exists():
             return {}
         _, journaled = load_journal(path, expected_hash=self.spec_hash)
-        records = {}
-        for index, record in journaled.items():
+        for index in journaled:
             if index not in shard.indices:
                 raise ServiceError(
                     f"{path} holds device {index}, outside shard "
                     f"[{shard.start}, {shard.stop})"
                 )
-            records[index] = DeviceRecord.from_dict(record)
-        return records
+        return device_records(path, journaled)
 
     def shard_complete(self, shard: CampaignShard) -> bool:
         if self.marker_path(shard).exists():

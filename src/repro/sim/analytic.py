@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from ..durable import atomic_write
 from ..params import CellSpec
 from ..pcm.drift import DriftModel
 
@@ -197,7 +194,7 @@ class CrossingDistribution:
         return cached
 
 
-# -- persistent tabulation cache ------------------------------------------------
+# -- tabulation cache key -------------------------------------------------------
 
 
 def tabulation_cache_key(
@@ -228,76 +225,6 @@ def tabulation_cache_key(
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def tabulation_cache_dir() -> Path | None:
-    """Directory for persisted tabulations, or ``None`` when disabled.
-
-    ``REPRO_CACHE_DIR`` overrides the default ``~/.cache/repro``;
-    ``REPRO_NO_DISK_CACHE`` (any non-empty value) disables persistence.
-    """
-    if os.environ.get("REPRO_NO_DISK_CACHE"):
-        return None
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro"
-
-
-def tabulation_cache_path(key: str, directory: Path) -> Path:
-    return directory / f"crossing-{key}.npz"
-
-
-def save_tabulation(
-    distribution: CrossingDistribution, key: str, directory: Path
-) -> Path | None:
-    """Persist a tabulated grid under ``key``; best-effort, atomic.
-
-    Concurrent writers (parallel sweep workers racing on a cold cache) are
-    safe: :func:`repro.durable.atomic_write` gives each a private temp
-    file.  Returns the cache path, or ``None`` when the write failed
-    (read-only cache dirs are tolerated, not fatal).
-    """
-    path = tabulation_cache_path(key, directory)
-    try:
-        atomic_write(
-            path,
-            lambda handle: np.savez(
-                handle,
-                key=np.array(key),
-                grid=distribution.grid,
-                per_level_cdf=distribution.per_level_cdf,
-            ),
-        )
-    except OSError:
-        return None
-    return path
-
-
-def load_tabulation(
-    key: str, num_levels: int, points: int, directory: Path
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Load the tabulated ``(grid, per_level_cdf)`` for ``key``.
-
-    Returns ``None`` on any miss: absent file, corrupted archive, key
-    mismatch (hash collision on the truncated filename, or a stale format),
-    or array shapes that do not match the requested grid.  Never raises -
-    a bad cache entry must degrade to re-tabulation, not failure.
-    """
-    path = tabulation_cache_path(key, directory)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["key"]) != key:
-                return None
-            grid = np.asarray(data["grid"], dtype=np.float64)
-            per_level = np.asarray(data["per_level_cdf"], dtype=np.float64)
-    except Exception:
-        return None
-    if grid.shape != (points,) or per_level.shape != (num_levels, points):
-        return None
-    if not (np.isfinite(grid).all() and np.isfinite(per_level).all()):
-        return None
-    return grid, per_level
 
 
 class AnalyticModel:

@@ -22,12 +22,12 @@ expensive stages across a whole task list:
   convolution terms.
 
 Propagations are memoized on ``(distribution content hash, interval,
-strength, threshold, visits, tolerance)`` through the same two-level
-chain as the distribution cache (:mod:`repro.sim.runner`): an in-process
-LRU in front of the optional on-disk cache (``~/.cache/repro``,
-``REPRO_CACHE_DIR`` / ``REPRO_NO_DISK_CACHE``).  Zero-spread lots - the
-common case in screening fleets - collapse to one propagation per
-(lot, policy) however many devices they hold.
+strength, threshold, visits, tolerance)`` in :data:`PROPAGATIONS`, an
+:class:`~repro.sim.cache.ArrayCache` like the distribution cache
+(:mod:`repro.sim.runner`): an in-process LRU in front of the shared
+on-disk cache.  Zero-spread lots - the common case in screening fleets -
+collapse to one propagation per (lot, policy) however many devices they
+hold.
 
 Consumers: :func:`repro.screen.planner.plan_screen` (one call per
 policy-parameter group) and :class:`repro.provision.search.ProvisionSearch`
@@ -39,47 +39,47 @@ the ``surrogate_memo`` counter group.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..durable import atomic_write
 from ..obs.metrics import GLOBAL_REGISTRY
-from .analytic import CrossingDistribution, _log_comb, tabulation_cache_dir
+from .analytic import CrossingDistribution, _log_comb
+from .cache import ArrayCache
 from .renewal import FiniteHorizonSolution, aligned_visits
 
 #: Bump when the persisted propagation layout changes; stale entries then
 #: miss on the key and degrade to recomputation, never to bad numbers.
 RENEWAL_MEMO_FORMAT = 1
 
-#: In-process propagation memo, LRU-bounded.  Entries are two ``(V,)``
-#: float arrays - a few KiB each - so the cap is generous: a provisioning
-#: sweep touches ``lots x candidates`` unique keys, a screening fleet one
-#: per (lot, policy).
-_PROPAGATION_CACHE: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_PROPAGATION_CACHE_MAX = 4096
+#: Propagation cap and survival-mass tolerance, the defaults of the
+#: scalar solver (:class:`repro.sim.renewal.RenewalModel`).
+MAX_VISITS = 20_000
+TOLERANCE = 1e-12
 
-#: Where each propagation request was satisfied (process-lifetime tally):
-#: ``memory`` (LRU hit), ``disk`` (loaded a persisted propagation), or
-#: ``computed`` (ran the batched propagation).  Duplicate keys inside one
-#: batch call count once - they share a single propagation.
-SURROGATE_MEMO_COUNTERS = GLOBAL_REGISTRY.group(
-    "surrogate_memo", ("memory", "disk", "computed")
+
+def _valid_resolution(u: np.ndarray, w: np.ndarray) -> bool:
+    """Per-visit resolution probabilities: non-negative, ``u + w <= 1``."""
+    return not ((u < 0).any() or (w < 0).any() or (u + w > 1.0 + 1e-12).any())
+
+
+#: Propagated ``(u, w)`` pairs.  Entries are two ``(V,)`` float arrays -
+#: a few KiB each - so the LRU is generous: a provisioning sweep touches
+#: ``lots x candidates`` unique keys, a screening fleet one per (lot,
+#: policy).  Its counters record where each request was satisfied:
+#: ``memory``, ``disk`` or ``computed``.  Duplicate keys inside one batch
+#: call count once - they share a single propagation.
+PROPAGATIONS = ArrayCache(
+    "surrogate_memo",
+    prefix="renewal",
+    members=("u", "w"),
+    capacity=4096,
+    miss="computed",
+    check=_valid_resolution,
 )
-
-
-def clear_propagation_cache() -> None:
-    """Drop the in-process propagation memo and reset its counters.
-
-    The on-disk cache is untouched; tests wanting full cold starts should
-    also point ``REPRO_CACHE_DIR`` at a fresh directory or set
-    ``REPRO_NO_DISK_CACHE``.
-    """
-    _PROPAGATION_CACHE.clear()
-    SURROGATE_MEMO_COUNTERS.reset()
+SURROGATE_MEMO_COUNTERS = PROPAGATIONS.counters
+clear_propagation_cache = PROPAGATIONS.clear
 
 
 @dataclass(frozen=True)
@@ -131,52 +131,6 @@ def propagation_cache_key(task: RenewalTask, visits: int, tolerance: float) -> s
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _propagation_cache_path(key: str, directory: Path) -> Path:
-    return directory / f"renewal-{key}.npz"
-
-
-def _save_propagation(
-    key: str, u: np.ndarray, w: np.ndarray, directory: Path
-) -> Path | None:
-    """Persist one propagation; best-effort, atomic (see ``save_tabulation``)."""
-    path = _propagation_cache_path(key, directory)
-    try:
-        atomic_write(
-            path, lambda handle: np.savez(handle, key=np.array(key), u=u, w=w)
-        )
-    except OSError:
-        return None
-    return path
-
-
-def _load_propagation(
-    key: str, visits: int, directory: Path
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Load one persisted propagation; ``None`` on any miss, never raises."""
-    path = _propagation_cache_path(key, directory)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["key"]) != key:
-                return None
-            u = np.asarray(data["u"], dtype=np.float64)
-            w = np.asarray(data["w"], dtype=np.float64)
-    except Exception:
-        return None
-    if u.shape != (visits,) or w.shape != (visits,):
-        return None
-    if not (np.isfinite(u).all() and np.isfinite(w).all()):
-        return None
-    if (u < 0).any() or (w < 0).any() or (u + w > 1.0 + 1e-12).any():
-        return None
-    return u, w
-
-
-def _memo_insert(key: str, value: tuple[np.ndarray, np.ndarray]) -> None:
-    _PROPAGATION_CACHE[key] = value
-    while len(_PROPAGATION_CACHE) > _PROPAGATION_CACHE_MAX:
-        _PROPAGATION_CACHE.popitem(last=False)
-
-
 # -- vectorized stages -----------------------------------------------------------
 
 
@@ -212,7 +166,6 @@ def _propagate_batch(
     threshold: int,
     cells_per_line: int,
     visits: int,
-    tolerance: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cycle resolution vectors for many rows at once.
 
@@ -221,7 +174,7 @@ def _propagate_batch(
     cells)`` point: the CDF is evaluated as one ``(R, V)`` matrix, the
     visit loop stays in Python (each step depends on the last), and the
     tiny state/increment loops run as width-``R`` array ops.  The scalar
-    solver's early break (surviving mass below ``tolerance``) becomes a
+    solver's early break (surviving mass below :data:`TOLERANCE`) becomes a
     sticky per-row ``active`` mask, so frozen rows emit the same zero
     tail the scalar path pads with.
     """
@@ -246,7 +199,7 @@ def _propagate_batch(
         )
         prev_f = f
 
-        active &= survive.sum(axis=1) > tolerance
+        active &= survive.sum(axis=1) > TOLERANCE
         if not active.any():
             break
 
@@ -305,12 +258,7 @@ def _recursion_batch(
 
 
 def finite_horizon_batch(
-    tasks: Iterable[RenewalTask],
-    horizon: float,
-    *,
-    max_visits: int = 20_000,
-    tolerance: float = 1e-12,
-    memo: bool = True,
+    tasks: Iterable[RenewalTask], horizon: float
 ) -> list[FiniteHorizonSolution]:
     """Solve every task's finite-horizon question in grid-sized batches.
 
@@ -321,14 +269,11 @@ def finite_horizon_batch(
     within a group, tasks with equal memo keys share one propagation.
     Each row's arithmetic is independent of its group-mates, so results
     do not depend on how a fleet is split across calls (or ``--jobs``
-    chunks).  ``memo=False`` bypasses the propagation memo entirely
-    (both layers) without changing any numbers.
+    chunks).
     """
     tasks = list(tasks)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if max_visits < 1:
-        raise ValueError("max_visits must be >= 1")
 
     solutions: list[FiniteHorizonSolution | None] = [None] * len(tasks)
     groups: dict[tuple[int, int, int, int], list[int]] = {}
@@ -345,56 +290,40 @@ def finite_horizon_batch(
 
     propagated = 0
     for (visits, t_ecc, threshold, cells), members in groups.items():
-        n_prop = min(max_visits, visits)
+        n_prop = min(MAX_VISITS, visits)
         resolved: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
         #: memo key -> member positions still waiting on a propagation.
-        pending: OrderedDict[str, list[int]] = OrderedDict()
-        anonymous: list[int] = []
+        pending: dict[str, list[int]] = {}
         for pos, i in enumerate(members):
-            if not memo:
-                anonymous.append(pos)
-                continue
-            key = propagation_cache_key(tasks[i], n_prop, tolerance)
+            key = propagation_cache_key(tasks[i], n_prop, TOLERANCE)
             if key in pending:
                 pending[key].append(pos)
                 continue
-            cached = _PROPAGATION_CACHE.get(key)
-            if cached is not None:
-                SURROGATE_MEMO_COUNTERS["memory"] += 1
-                _PROPAGATION_CACHE.move_to_end(key)
+            cached = PROPAGATIONS.get(key)
+            if cached is None:
+                cached = PROPAGATIONS.load(key, [(n_prop,), (n_prop,)])
+                if cached is not None:
+                    PROPAGATIONS.put(key, cached)
+            if cached is None:
+                pending[key] = [pos]
+            else:
                 resolved[pos] = cached
-                continue
-            directory = tabulation_cache_dir()
-            if directory is not None:
-                loaded = _load_propagation(key, n_prop, directory)
-                if loaded is not None:
-                    SURROGATE_MEMO_COUNTERS["disk"] += 1
-                    _memo_insert(key, loaded)
-                    resolved[pos] = loaded
-                    continue
-            pending[key] = [pos]
 
-        representatives = [positions[0] for positions in pending.values()]
-        representatives += anonymous
-        if representatives:
-            rep_tasks = [tasks[members[pos]] for pos in representatives]
+        if pending:
+            rep_tasks = [tasks[members[positions[0]]] for positions in pending.values()]
             u2d, w2d = _propagate_batch(
                 [task.distribution for task in rep_tasks],
                 [task.interval for task in rep_tasks],
-                t_ecc, threshold, cells, n_prop, tolerance,
+                t_ecc, threshold, cells, n_prop,
             )
-            propagated += len(representatives)
-            SURROGATE_MEMO_COUNTERS["computed"] += len(representatives)
-            directory = tabulation_cache_dir() if memo else None
+            propagated += len(pending)
+            SURROGATE_MEMO_COUNTERS["computed"] += len(pending)
             for r, (key, positions) in enumerate(pending.items()):
                 value = (u2d[r].copy(), w2d[r].copy())
-                _memo_insert(key, value)
-                if directory is not None:
-                    _save_propagation(key, value[0], value[1], directory)
+                PROPAGATIONS.put(key, value)
+                PROPAGATIONS.save(key, value)
                 for pos in positions:
                     resolved[pos] = value
-            for r, pos in enumerate(anonymous, start=len(pending)):
-                resolved[pos] = (u2d[r], w2d[r])
 
         stacked_u = np.zeros((len(members), visits))
         stacked_w = np.zeros((len(members), visits))

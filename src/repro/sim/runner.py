@@ -7,24 +7,22 @@ engine, runs to the horizon, and returns a :class:`RunResult`.
 
 Crossing distributions are memoized per (cell spec, temperature) because
 tabulating the analytic CDF costs a few hundred milliseconds and sweeps
-reuse it across dozens of runs.  The memo is two-level: a small in-process
-LRU in front of a persistent on-disk cache (``~/.cache/repro``, overridable
-via ``REPRO_CACHE_DIR``, disabled by ``REPRO_NO_DISK_CACHE``), so parallel
-sweep workers and repeated CLI invocations pay the tabulation once per
-configuration instead of once per process.
+reuse it across dozens of runs.  The memo is :data:`TABULATIONS`, an
+:class:`~repro.sim.cache.ArrayCache`: a small in-process LRU in front of
+the shared on-disk cache, so parallel sweep workers and repeated CLI
+invocations pay the tabulation once per configuration instead of once
+per process.
 """
 
 from __future__ import annotations
 
 import time as _time
-from collections import OrderedDict
 
 import numpy as np
 
 from ..core.policy import ScrubPolicy
 from ..core.stats import ScrubStats
 from ..mem.sparing import SparePool
-from ..obs.metrics import GLOBAL_REGISTRY
 from ..obs.profile import NULL_PROFILER
 from ..obs.session import Observation
 from ..params import CellSpec
@@ -32,44 +30,28 @@ from ..pcm.endurance import EnduranceModel
 from ..pcm.energy import OperationCosts
 from ..verify.invariants import InvariantChecker
 from ..workloads.generators import DemandRates
-from .analytic import (
-    TABULATION_POINTS,
-    CrossingDistribution,
-    load_tabulation,
-    save_tabulation,
-    tabulation_cache_dir,
-    tabulation_cache_key,
-)
+from .analytic import TABULATION_POINTS, CrossingDistribution, tabulation_cache_key
 from .batch import BatchPopulationEngine
+from .cache import ArrayCache
 from .config import SimulationConfig
 from .population import LinePopulation, PopulationEngine
 from .results import RunResult
 from .rng import RngStreams
 
-#: In-process memo, LRU-bounded: sweeps over many cell specs/temperatures
-#: must not accumulate tabulations without bound.
-_DISTRIBUTION_CACHE: OrderedDict[str, CrossingDistribution] = OrderedDict()
-_DISTRIBUTION_CACHE_MAX = 8
-
-#: Where each distribution request was satisfied (process-lifetime tally):
-#: ``memory`` (LRU hit), ``disk`` (loaded a persisted tabulation), or
-#: ``tabulated`` (computed from scratch).  Lives in the process-wide
-#: metrics registry (:data:`repro.obs.metrics.GLOBAL_REGISTRY`) but keeps
-#: plain-dict semantics for existing call sites.
-DISTRIBUTION_CACHE_COUNTERS = GLOBAL_REGISTRY.group(
-    "distribution_cache", ("memory", "disk", "tabulated")
+#: Tabulated crossing distributions.  The in-process LRU is small:
+#: sweeps over many cell specs/temperatures must not accumulate
+#: tabulations without bound.  Its counters record where each request
+#: was satisfied: ``memory``, ``disk`` (loaded a persisted tabulation)
+#: or ``tabulated`` (computed from scratch).
+TABULATIONS = ArrayCache(
+    "distribution_cache",
+    prefix="crossing",
+    members=("grid", "per_level_cdf"),
+    capacity=8,
+    miss="tabulated",
 )
-
-
-def clear_distribution_cache() -> None:
-    """Drop the in-process distribution memo and reset its counters.
-
-    The on-disk cache is untouched; tests wanting full cold starts should
-    also point ``REPRO_CACHE_DIR`` at a fresh directory or set
-    ``REPRO_NO_DISK_CACHE``.
-    """
-    _DISTRIBUTION_CACHE.clear()
-    DISTRIBUTION_CACHE_COUNTERS.reset()
+DISTRIBUTION_CACHE_COUNTERS = TABULATIONS.counters
+clear_distribution_cache = TABULATIONS.clear
 
 
 def cached_crossing_distribution(
@@ -79,17 +61,13 @@ def cached_crossing_distribution(
 ) -> CrossingDistribution:
     """Crossing distribution via the memory -> disk -> tabulate cache chain."""
     key = tabulation_cache_key(spec, temperature_k, compensated)
-    cached = _DISTRIBUTION_CACHE.get(key)
+    cached = TABULATIONS.get(key)
     if cached is not None:
-        DISTRIBUTION_CACHE_COUNTERS["memory"] += 1
-        _DISTRIBUTION_CACHE.move_to_end(key)
         return cached
 
-    cache_dir = tabulation_cache_dir()
-    tabulation = None
-    if cache_dir is not None:
-        tabulation = load_tabulation(key, spec.num_levels, TABULATION_POINTS, cache_dir)
-
+    tabulation = TABULATIONS.load(
+        key, [(TABULATION_POINTS,), (spec.num_levels, TABULATION_POINTS)]
+    )
     if compensated:
         from ..pcm.reference import CompensatedSensing
 
@@ -102,16 +80,10 @@ def cached_crossing_distribution(
             spec, temperature_k=temperature_k, _tabulation=tabulation
         )
 
-    if tabulation is not None:
-        DISTRIBUTION_CACHE_COUNTERS["disk"] += 1
-    else:
+    if tabulation is None:
         DISTRIBUTION_CACHE_COUNTERS["tabulated"] += 1
-        if cache_dir is not None:
-            save_tabulation(distribution, key, cache_dir)
-
-    _DISTRIBUTION_CACHE[key] = distribution
-    while len(_DISTRIBUTION_CACHE) > _DISTRIBUTION_CACHE_MAX:
-        _DISTRIBUTION_CACHE.popitem(last=False)
+        TABULATIONS.save(key, (distribution.grid, distribution.per_level_cdf))
+    TABULATIONS.put(key, distribution)
     return distribution
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .. import units
@@ -50,7 +51,8 @@ from ..analysis.stats import poisson_interval
 from ..sim.analytic import AnalyticModel
 from ..sim.config import SimulationConfig
 from ..sim.parallel import RunSpec, run_many
-from ..sim.renewal import RenewalModel
+from ..sim.renewal import FiniteHorizonSolution, RenewalModel
+from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
 from ..sim.runner import crossing_distribution_for
 
 #: Sampling multiplier for the renewal band: ``z / sqrt(expected)`` is a
@@ -393,6 +395,22 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if abs(b) > 1e-30 else abs(a - b)
 
 
+def scalar_finite_horizon(
+    tasks: Iterable[RenewalTask], horizon: float
+) -> list[FiniteHorizonSolution]:
+    """Drop-in oracle for :func:`repro.sim.renewal_batch.finite_horizon_batch`.
+
+    Solves each task alone with the per-device scalar recursion
+    (:meth:`RenewalModel.finite_horizon`).
+    """
+    return [
+        RenewalModel(task.distribution, task.cells_per_line).finite_horizon(
+            task.interval, task.t_ecc, task.threshold, horizon
+        )
+        for task in tasks
+    ]
+
+
 def surrogate_equivalence(
     seed: int = 2012,
     jobs: int = 1,
@@ -403,26 +421,26 @@ def surrogate_equivalence(
     Two layers, no Monte Carlo in either:
 
     * **Kernel grid** - :func:`repro.sim.renewal_batch.finite_horizon_batch`
-      against per-point :meth:`RenewalModel.finite_horizon` over an
-      (interval, strength) x temperature grid, all points in one batched
-      call so grouping, memo dedup, and zero-padding are exercised.  Each
-      expectation must agree within :data:`SURROGATE_REL_TOL` relative.
-    * **Fleet screen** - :func:`repro.screen.planner.plan_screen` with
-      ``batch=True`` (and the ``jobs`` fan-out) against ``batch=False``
-      on an in-regime three-lot fleet: classifications must match
-      *exactly* (zero mismatches), surrogate expectations within the same
-      tolerance.
+      against :func:`scalar_finite_horizon` over an (interval, strength)
+      x temperature grid, all points in one batched call so grouping,
+      memo dedup, and zero-padding are exercised.  Each expectation must
+      agree within :data:`SURROGATE_REL_TOL` relative.
+    * **Fleet screen** - :func:`repro.screen.planner.plan_screen` (with
+      the ``jobs`` fan-out) on an in-regime three-lot fleet against each
+      in-regime device's scalar solution run through the planner's own
+      :func:`~repro.screen.planner.classify` step: classifications must
+      match *exactly* (zero mismatches), surrogate expectations within
+      the same tolerance.
 
     The expectation of every row is 0 observed divergence with the band
     ``[0, tol]`` (``[0, 0]`` for the classification row), so the rows
     render in the standard equivalence table.
     """
-    from ..fleet.spec import Lot, LotParameter
-    from ..screen.planner import ScreenConstraints, plan_screen
-    from ..sim.config import SimulationConfig
-    from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
     from ..fleet.report import FIT_HOURS
-    from ..fleet.spec import FleetSpec
+    from ..fleet.spec import FleetSpec, Lot, LotParameter
+    from ..screen.planner import (
+        ScreenConstraints, classify, plan_screen, regime_reasons, surrogate_point,
+    )
 
     metrics = ("expected_ue", "expected_writes", "no_ue_probability")
 
@@ -432,31 +450,19 @@ def surrogate_equivalence(
     temperatures = [300.0, 330.0] if quick else [300.0, 330.0, 350.0]
     config = SimulationConfig(num_lines=64, region_size=64, horizon=horizon,
                               seed=seed, endurance=None)
-    grid = []
+    tasks = []
     for temperature_k in temperatures:
         point_config = dataclasses.replace(config, temperature_k=temperature_k)
         distribution = crossing_distribution_for(point_config)
-        for interval, t in points:
-            grid.append((temperature_k, interval, t, distribution))
-    tasks = [
-        RenewalTask(
-            distribution=distribution,
-            cells_per_line=config.cells_per_line,
-            interval=interval,
-            t_ecc=t,
-            threshold=t - 1,
-        )
-        for _, interval, t, distribution in grid
-    ]
+        tasks += [
+            RenewalTask(distribution, config.cells_per_line, interval, t, t - 1)
+            for interval, t in points
+        ]
     batched = finite_horizon_batch(tasks, horizon)
+    scalar = scalar_finite_horizon(tasks, horizon)
     rows = []
     worst: dict[str, float] = {metric: 0.0 for metric in metrics}
-    for (temperature_k, interval, t, distribution), batch_solution in zip(
-        grid, batched
-    ):
-        scalar_solution = RenewalModel(
-            distribution, config.cells_per_line
-        ).finite_horizon(interval, t_ecc=t, threshold=t - 1, horizon=horizon)
+    for batch_solution, scalar_solution in zip(batched, scalar):
         if batch_solution.visits != scalar_solution.visits:
             worst = {metric: float("inf") for metric in metrics}
             break
@@ -508,11 +514,22 @@ def surrogate_equivalence(
     constraints = ScreenConstraints(
         fit_limit=5.0 * FIT_HOURS * spec.capacity_scale / horizon_hours,
     )
-    plan_batch = plan_screen(spec, constraints, jobs=jobs)
-    plan_scalar = plan_screen(spec, constraints, batch=False)
+    plan = plan_screen(spec, constraints, jobs=jobs)
+    devices = [spec.device_spec(index) for index in range(spec.devices)]
+    entries = [(d.index, d) for d in devices if not regime_reasons(spec, d)]
+    tasks = [
+        RenewalTask(crossing_distribution_for(d.config), d.config.cells_per_line,
+                    *surrogate_point(spec, d.lot))
+        for _, d in entries
+    ]
+    solutions = scalar_finite_horizon(tasks, spec.base_config.horizon)
+    pairs = [
+        (plan.decisions[b.index], b)
+        for b in classify(spec, constraints, entries, solutions)
+    ]
     mismatches = sum(
         1
-        for a, b in zip(plan_batch.decisions, plan_scalar.decisions)
+        for a, b in pairs
         if a.classification != b.classification or a.reasons != b.reasons
     )
     rows.append(
@@ -528,9 +545,9 @@ def surrogate_equivalence(
         )
     )
     screen_worst = {metric: 0.0 for metric in metrics}
-    for a, b in zip(plan_batch.decisions, plan_scalar.decisions):
-        if a.expected_ue is None or b.expected_ue is None:
-            continue
+    for a, b in pairs:
+        if a.expected_ue is None:
+            continue  # a regime mismatch; the classification row counts it
         for metric in metrics:
             screen_worst[metric] = max(
                 screen_worst[metric],

@@ -121,6 +121,15 @@ class TestResume:
         _, devices = load_journal(journal, expected_hash=spec.content_hash())
         assert set(devices) == set(range(spec.devices))
 
+    def test_resume_over_a_record_missing_a_field_raises(self, tmp_path):
+        spec = hetero_spec()
+        journal = tmp_path / "campaign.jsonl"
+        run_campaign(spec, checkpoint=journal, stop_after=1)
+        with open(journal, "a") as handle:
+            handle.write('{"kind": "device", "index": 1, "lot": "a"}\n')
+        with pytest.raises(CheckpointError, match="device 1 has no 'seed' field"):
+            run_campaign(spec, checkpoint=journal, resume=True)
+
     def test_resume_of_finished_campaign_executes_nothing(self, tmp_path):
         spec = hetero_spec(devices=2)
         journal = tmp_path / "campaign.jsonl"

@@ -13,10 +13,12 @@ from repro.fleet.checkpoint import (
     JOURNAL_VERSION,
     CheckpointError,
     append_device,
+    device_records,
     load_journal,
     open_journal,
     write_header,
 )
+from repro.fleet.report import DeviceRecord
 
 HASH = "a" * 64
 
@@ -27,6 +29,22 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
+)
+
+
+#: Device records holding every field, each with arbitrary JSON in it.
+DEVICE_RECORDS = st.fixed_dictionaries(
+    {
+        "kind": st.just("device"),
+        "index": st.integers(min_value=0, max_value=3),
+        **{
+            name: JSON_VALUES
+            for name in (
+                "lot", "seed", "temperature_k", "nu_mu_scale", "nu_sigma_scale",
+                "endurance_mean", "summary", "final_state", "runtime_seconds",
+            )
+        },
+    }
 )
 
 
@@ -117,6 +135,24 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_journal(path)
 
+    def test_record_missing_a_field_names_journal_and_field(self, tmp_path):
+        path = journal_with(tmp_path, [{"index": 0, "lot": "vendor-a"}])
+        _, devices = load_journal(path, expected_hash=HASH)
+        with pytest.raises(
+            CheckpointError, match=f"{path} device 0 has no 'seed' field"
+        ):
+            device_records(path, devices)
+
+    def test_record_with_a_malformed_value_raises(self, tmp_path):
+        record = DeviceRecord(
+            index=0, lot="a", seed=1, temperature_k=300.0, nu_mu_scale=1.0,
+            nu_sigma_scale=1.0, endurance_mean=None,
+        ).to_dict()
+        path = journal_with(tmp_path, [{**record, "seed": "not a seed"}])
+        _, devices = load_journal(path, expected_hash=HASH)
+        with pytest.raises(CheckpointError, match="device 0 is malformed"):
+            device_records(path, devices)
+
     def test_undecodable_bytes_raise_checkpoint_error(self, tmp_path):
         path = journal_with(tmp_path, [])
         with open(path, "ab") as handle:
@@ -134,6 +170,7 @@ class TestCorruption:
                     {"kind": st.sampled_from(["device", "pending"]),
                      "index": JSON_VALUES}
                 ).map(json.dumps),
+                DEVICE_RECORDS.map(json.dumps),
                 st.text(max_size=12),
             ),
             max_size=6,
@@ -149,10 +186,12 @@ class TestCorruption:
             handle.write("\n".join(lines))
         try:
             header, devices = load_journal(path, expected_hash=HASH)
+            records = device_records(path, devices)
         except CheckpointError:
             return
         assert header["kind"] == "header"
         assert all(type(index) is int for index in devices)
+        assert all(isinstance(record, DeviceRecord) for record in records.values())
 
 
 class TestBinding:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.fleet import FleetSpec
-from repro.provision import ProvisionError, ProvisionReport
+from repro.provision import ProvisionReport
 
 from .conftest import make_spec
 
@@ -76,5 +76,22 @@ class TestProvisionFleet:
         assert "no feasible candidate" in out
 
     def test_bad_policy_rejected(self, spec_path):
-        with pytest.raises(ProvisionError, match="unknown policy"):
+        with pytest.raises(SystemExit, match="pcm-scrub: unknown policy"):
             main(["provision-fleet", str(spec_path), "--policies", "nope"])
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--fit-limit", "nan"], "fit_limit"),
+            (["--fit-limit", "inf"], "fit_limit"),
+            (["--intervals", "nan"], "interval"),
+            (["--confidence", "nan"], "confidence"),
+            (["--dollars-per-gib", "nan"], "dollars_per_gib"),
+            (["--amortization-years", "inf"], "amortization_years"),
+        ],
+    )
+    def test_non_finite_flags_rejected_naming_the_field(
+        self, spec_path, flags, field
+    ):
+        with pytest.raises(SystemExit, match=f"pcm-scrub: .*{field}"):
+            main(["provision-fleet", str(spec_path), *flags])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import units
-from repro.provision import CostModel, J_PER_KWH
+from repro.provision import CostModel, J_PER_KWH, ProvisionError
 
 
 class TestOverhead:
@@ -65,6 +69,35 @@ class TestValidationAndSerialization:
             CostModel(embodied_kg_per_gib=-0.1)
         with pytest.raises(ValueError):
             CostModel(amortization_years=0.0)
+
+    @given(
+        dollars=st.floats(),
+        intensity=st.floats(),
+        embodied=st.floats(),
+        years=st.floats(),
+    )
+    def test_any_float_is_valid_or_names_the_field(
+        self, dollars, intensity, embodied, years
+    ):
+        values = {
+            "dollars_per_gib": dollars,
+            "carbon_intensity_kg_per_kwh": intensity,
+            "embodied_kg_per_gib": embodied,
+            "amortization_years": years,
+        }
+        invalid = {
+            name
+            for name, value in values.items()
+            if not math.isfinite(value)
+            or value < 0
+            or (name == "amortization_years" and value == 0)
+        }
+        try:
+            CostModel(**values)
+        except ProvisionError as error:
+            assert any(name in str(error) for name in invalid), (invalid, error)
+            return
+        assert not invalid
 
     def test_round_trip(self):
         model = CostModel(

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.fleet import run_campaign
 from repro.obs.metrics import GLOBAL_REGISTRY
@@ -17,6 +20,8 @@ from repro.provision import (
     provision_fleet,
     variant_spec,
 )
+from repro.provision import search
+from repro.verify.equivalence import scalar_finite_horizon
 
 from .conftest import make_spec, small_space
 
@@ -55,6 +60,17 @@ class TestCandidate:
                       threshold=3)
         with pytest.raises(ProvisionError):
             Candidate(policy="basic", interval=3600.0, threshold=1)
+
+    @given(interval=st.floats())
+    def test_any_float_interval_is_valid_or_named(self, interval):
+        valid = math.isfinite(interval) and interval > 0
+        try:
+            Candidate(policy="threshold", interval=interval)
+        except ProvisionError as error:
+            assert not valid
+            assert "interval" in str(error)
+            return
+        assert valid
 
     def test_round_trip(self):
         candidate = Candidate(
@@ -163,6 +179,20 @@ class TestSearchRouting:
                 make_spec(), small_space(), extra_candidates=("basic",)
             )
 
+    @given(fit_limit=st.none() | st.floats(), confidence=st.floats())
+    def test_any_float_budget_is_valid_or_named(self, fit_limit, confidence):
+        invalid = set()
+        if fit_limit is not None and not (math.isfinite(fit_limit) and fit_limit > 0):
+            invalid.add("fit_limit")
+        if not (math.isfinite(confidence) and 0 < confidence < 1):
+            invalid.add("confidence")
+        try:
+            ProvisionSearch(make_spec(), fit_limit=fit_limit, confidence=confidence)
+        except ProvisionError as error:
+            assert any(name in str(error) for name in invalid), (invalid, error)
+            return
+        assert not invalid
+
     def test_gauges_published(self):
         report = ProvisionSearch(make_spec(), small_space()).run()
         assert GLOBAL_REGISTRY.gauge("provision_lots").value == len(report.lots)
@@ -196,15 +226,16 @@ class TestSearchResults:
         for lot_s, lot_e in zip(screened.lots, exhaustive.lots):
             assert set(lot_s.frontier) == set(lot_e.frontier)
 
-    def test_batch_matches_scalar_oracle(self):
+    def test_batch_matches_scalar_oracle(self, monkeypatch):
         # The batched surrogate kernel is a pure optimization: the
-        # per-device scalar recursion (batch=False) must land on the
+        # per-device scalar recursion swapped in for it must land on the
         # same frontiers and recommendations, with evaluation numbers
         # agreeing to the surrogate_batch tolerance.
         spec = make_spec()
         space = small_space()
         batched = ProvisionSearch(spec, space).run()
-        scalar = ProvisionSearch(spec, space, batch=False).run()
+        monkeypatch.setattr(search, "finite_horizon_batch", scalar_finite_horizon)
+        scalar = ProvisionSearch(spec, space).run()
         assert batched.mc_device_runs == scalar.mc_device_runs == 0
         for lot_b, lot_s in zip(batched.lots, scalar.lots):
             assert lot_b.frontier == lot_s.frontier

@@ -50,6 +50,21 @@ class TestFleetScreen:
         with pytest.raises(SystemExit, match="at least one"):
             main(["fleet", str(spec_path), "--screen"])
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--fit-limit", "nan"], "fit_limit"),
+            (["--fit-limit", "inf"], "fit_limit"),
+            (["--availability-limit", "0.9", "--availability-margin", "nan"],
+             "availability_margin"),
+        ],
+    )
+    def test_non_finite_limits_rejected_naming_the_field(
+        self, spec_path, flags, field
+    ):
+        with pytest.raises(SystemExit, match=f"pcm-scrub: {field} must be finite"):
+            main(["fleet", str(spec_path), "--screen", *flags])
+
     def test_limits_without_screen_flag_error(self, spec_path, fit_limit):
         with pytest.raises(SystemExit, match="require --screen"):
             main(["fleet", str(spec_path), "--fit-limit", str(fit_limit)])

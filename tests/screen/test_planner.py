@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import units
 from repro.params import EnduranceSpec
@@ -20,7 +24,9 @@ from repro.screen import (
     plan_screen,
     regime_reasons,
 )
+from repro.screen import planner
 from repro.sim.config import SimulationConfig
+from repro.verify.equivalence import scalar_finite_horizon
 
 from .conftest import make_constraints, make_spec
 
@@ -45,6 +51,44 @@ class TestConstraints:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ScreenError):
             ScreenConstraints(**kwargs)
+
+    @given(
+        fit_limit=st.none() | st.floats(),
+        min_availability=st.none() | st.floats(),
+        confidence=st.floats(),
+        availability_margin=st.floats(),
+    )
+    def test_any_float_builds_valid_constraints_or_names_the_field(
+        self, fit_limit, min_availability, confidence, availability_margin
+    ):
+        def finite(value):
+            return value is not None and math.isfinite(value)
+
+        invalid = {
+            name
+            for name, ok in (
+                ("fit_limit", fit_limit is None or (finite(fit_limit) and fit_limit > 0)),
+                ("min_availability", min_availability is None
+                 or (finite(min_availability) and 0 < min_availability < 1)),
+                ("confidence", finite(confidence) and 0 < confidence < 1),
+                ("availability_margin",
+                 finite(availability_margin) and availability_margin >= 0),
+            )
+            if not ok
+        }
+        if fit_limit is None and min_availability is None:
+            invalid |= {"fit_limit", "min_availability"}
+        try:
+            ScreenConstraints(
+                fit_limit=fit_limit,
+                min_availability=min_availability,
+                confidence=confidence,
+                availability_margin=availability_margin,
+            )
+        except ScreenError as error:
+            assert any(name in str(error) for name in invalid), (invalid, error)
+            return
+        assert not invalid
 
     def test_dict_round_trip(self):
         constraints = ScreenConstraints(
@@ -201,13 +245,21 @@ class TestPlanInvariants:
         )
 
 
+def scalar_plan(monkeypatch, spec, constraints):
+    """``plan_screen`` with the scalar oracle in place of the kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "finite_horizon_batch", scalar_finite_horizon)
+        return plan_screen(spec, constraints)
+
+
 class TestBatchScalarEquivalence:
     """The batched kernel path is a pure optimization of the scalar oracle.
 
-    ``plan_screen(..., batch=False)`` routes every device through the
-    original per-device :class:`RenewalModel` recursion; classifications
-    must match the batched default exactly (the ``surrogate_batch``
-    verify law additionally bounds the numeric gap at 1e-9).
+    Swapping :func:`repro.verify.equivalence.scalar_finite_horizon` in for
+    the planner's kernel routes every device through the per-device
+    :class:`RenewalModel` recursion; classifications must match the
+    kernel exactly (the ``surrogate_batch`` verify law additionally
+    bounds the numeric gap at 1e-9).
     """
 
     @staticmethod
@@ -217,9 +269,11 @@ class TestBatchScalarEquivalence:
             for d in plan.decisions
         ]
 
-    def test_batch_matches_scalar_oracle_exactly(self, spec, constraints):
+    def test_batch_matches_scalar_oracle_exactly(
+        self, spec, constraints, monkeypatch
+    ):
         batched = plan_screen(spec, constraints)
-        scalar = plan_screen(spec, constraints, batch=False)
+        scalar = scalar_plan(monkeypatch, spec, constraints)
         assert self._classifications(batched) == self._classifications(scalar)
         assert batched.escalated == scalar.escalated
         for a, b in zip(batched.decisions, scalar.decisions):
@@ -235,7 +289,7 @@ class TestBatchScalarEquivalence:
             )
 
     @pytest.mark.parametrize("name", ["fleet_screen", "fleet_smoke"])
-    def test_bundled_fleet_specs_pin_classifications(self, name):
+    def test_bundled_fleet_specs_pin_classifications(self, name, monkeypatch):
         from pathlib import Path
 
         from repro.fleet import FleetSpec
@@ -251,7 +305,7 @@ class TestBatchScalarEquivalence:
             fit_limit=4.0 * FIT_HOURS * spec.capacity_scale / horizon_hours
         )
         batched = plan_screen(spec, constraints)
-        scalar = plan_screen(spec, constraints, batch=False)
+        scalar = scalar_plan(monkeypatch, spec, constraints)
         assert self._classifications(batched) == self._classifications(scalar)
         assert batched.escalated == scalar.escalated
 

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.fleet import FleetSpec, Lot, LotParameter
+from repro.fleet.checkpoint import CheckpointError, open_journal
 from repro.screen import ScreenConstraints, ScreenDecision, ScreenPlan
-from repro.service import ServiceError, load_campaign, submit_campaign
+from repro.service import (
+    ServiceError,
+    campaign_status,
+    load_campaign,
+    submit_campaign,
+)
 from repro.sim.config import SimulationConfig
 
 from ..fleet.test_checkpoint import JSON_VALUES
@@ -123,6 +129,22 @@ def _paths(value, prefix=()):
     )
     for key, child in children:
         yield from _paths(child, prefix + (key,))
+
+
+class TestMalformedJournal:
+    def test_record_missing_a_field_raises_checkpoint_error(self, tmp_path):
+        campaign = submit_campaign(make_spec(), tmp_path / "camp", shards=2)
+        shard = campaign.shards[0]
+        path = campaign.journal_path(shard)
+        open_journal(path, campaign.spec_hash, campaign.spec.name)
+        with open(path, "a") as handle:
+            record = {"kind": "device", "index": shard.start, "lot": "a"}
+            handle.write(json.dumps(record) + "\n")
+        assert not campaign.shard_complete(shard)
+        with pytest.raises(CheckpointError, match="has no 'seed' field"):
+            campaign.shard_records(shard)
+        with pytest.raises(CheckpointError, match="has no 'seed' field"):
+            campaign_status(campaign.root)
 
 
 class TestMalformedMetadata:

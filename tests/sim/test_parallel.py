@@ -2,8 +2,9 @@
 
 The contract under test: ``run_many`` is bit-identical to serial execution
 for any ``jobs`` (randomness derives from each spec's config seed, never
-worker identity), and the persistent tabulation cache round-trips exactly
-while degrading gracefully on corrupted or stale entries.
+worker identity), and the tabulation cache chain rebuilds distributions
+exactly from disk and re-tabulates over a corrupted entry.  The store's
+own behaviours are tested once, for both caches, in ``test_cache.py``.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from repro import units
 from repro.core import basic_scrub
 from repro.params import CellSpec
 from repro.sim import RunSpec, SimulationConfig, run_experiment, run_many
-from repro.sim.analytic import (
-    CrossingDistribution,
-    load_tabulation,
-    save_tabulation,
-    tabulation_cache_key,
-    tabulation_cache_path,
-)
+from repro.sim.analytic import tabulation_cache_key
 from repro.sim.parallel import parallel_map
 from repro.sim.runner import (
     DISTRIBUTION_CACHE_COUNTERS,
+    TABULATIONS,
     cached_crossing_distribution,
     clear_distribution_cache,
     crossing_distribution_for,
@@ -129,80 +125,14 @@ class TestDiskCache:
     def test_corrupted_file_ignored(self, _isolated_disk_cache):
         spec = CellSpec()
         key = tabulation_cache_key(spec, 300.0)
-        path = tabulation_cache_path(key, _isolated_disk_cache)
-        path.write_bytes(b"not an npz archive")
-        assert load_tabulation(key, spec.num_levels, 768, _isolated_disk_cache) is None
-        # The full chain re-tabulates instead of failing.
+        TABULATIONS.path(key).write_bytes(b"not an npz archive")
+        # The full chain re-tabulates instead of failing, and the rewritten
+        # entry serves the next cold process.
         cached_crossing_distribution(spec, 300.0)
         assert DISTRIBUTION_CACHE_COUNTERS["tabulated"] == 1
-
-    def test_stale_key_ignored(self, _isolated_disk_cache):
-        spec = CellSpec()
-        distribution = CrossingDistribution(spec, temperature_k=300.0)
-        key = tabulation_cache_key(spec, 300.0)
-        other = tabulation_cache_key(spec, 310.0)
-        # A file whose embedded key disagrees with its name (stale format
-        # or collision) must be treated as a miss.
-        saved = save_tabulation(distribution, key, _isolated_disk_cache)
-        assert saved is not None
-        saved.rename(tabulation_cache_path(other, _isolated_disk_cache))
-        assert load_tabulation(other, spec.num_levels, 768, _isolated_disk_cache) is None
-
-    def test_shape_mismatch_ignored(self, _isolated_disk_cache):
-        spec = CellSpec()
-        distribution = CrossingDistribution(spec, temperature_k=300.0)
-        key = tabulation_cache_key(spec, 300.0)
-        save_tabulation(distribution, key, _isolated_disk_cache)
-        assert load_tabulation(key, spec.num_levels, 512, _isolated_disk_cache) is None
-
-    def test_concurrent_writers_race(self, tmp_path):
-        # Regression for the shared-cache race: many writers publishing the
-        # same key while readers poll must never surface a partial entry -
-        # every read is either a clean miss or the complete, bit-exact
-        # tabulation - and the temp-file + os.replace protocol must leave
-        # no litter behind.
-        import threading
-
-        spec = CellSpec()
-        distribution = CrossingDistribution(spec, temperature_k=300.0)
-        key = tabulation_cache_key(spec, 300.0)
-        start = threading.Barrier(6)
-        errors: list[BaseException] = []
-
-        def writer():
-            try:
-                start.wait()
-                for _ in range(5):
-                    assert (
-                        save_tabulation(distribution, key, tmp_path) is not None
-                    )
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        def reader():
-            try:
-                start.wait()
-                for _ in range(25):
-                    loaded = load_tabulation(
-                        key, spec.num_levels, 768, tmp_path
-                    )
-                    if loaded is not None:
-                        grid, cdf = loaded
-                        assert np.array_equal(grid, distribution.grid)
-                        assert np.array_equal(cdf, distribution.per_level_cdf)
-            except BaseException as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        threads += [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        final = load_tabulation(key, spec.num_levels, 768, tmp_path)
-        assert final is not None
-        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+        clear_distribution_cache()
+        cached_crossing_distribution(spec, 300.0)
+        assert DISTRIBUTION_CACHE_COUNTERS["disk"] == 1
 
     def test_disabled_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
@@ -215,13 +145,12 @@ class TestDiskCache:
 
 class TestMemoryCache:
     def test_lru_bounded(self, monkeypatch):
-        import repro.sim.runner as runner
-
-        monkeypatch.setattr(runner, "_DISTRIBUTION_CACHE_MAX", 2)
+        # The tabulation chain keeps its memo inside the store's bound.
+        monkeypatch.setattr(TABULATIONS, "capacity", 2)
         spec = CellSpec()
         for temperature in (300.0, 305.0, 310.0):
             cached_crossing_distribution(spec, temperature)
-        assert len(runner._DISTRIBUTION_CACHE) == 2
+        assert len(TABULATIONS) == 2
 
     def test_memory_hit_counted(self):
         first = crossing_distribution_for(SMALL)

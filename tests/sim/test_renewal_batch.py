@@ -10,9 +10,10 @@ is a drop-in for per-task :meth:`RenewalModel.finite_horizon` calls:
   strengths and temperatures in one batch reproduce the scalar solver
   within the ``surrogate_batch`` tolerance.
 
-The rest exercises the propagation memo: LRU hits, disk round-trips,
-corrupted-entry degradation, within-call dedup, and the ``memo=False``
-bypass all leaving the numbers untouched.
+The rest exercises how the kernel routes through its propagation memo:
+memory hits, disk round-trips, corrupted or invalid entries recomputed,
+eviction, and within-call dedup, all leaving the numbers untouched.  The
+store underneath is tested once, for both caches, in ``test_cache.py``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from repro.sim import renewal_batch
 from repro.sim.analytic import CrossingDistribution
 from repro.sim.renewal import RenewalModel, finite_horizon_recursion
 from repro.sim.renewal_batch import (
+    PROPAGATIONS,
     SURROGATE_MEMO_COUNTERS,
     RenewalTask,
-    _propagation_cache_path,
     _recursion_batch,
     clear_propagation_cache,
     finite_horizon_batch,
@@ -164,8 +165,6 @@ class TestKernelParity:
         with pytest.raises(ValueError):
             finite_horizon_batch([_task()], horizon=0.0)
         with pytest.raises(ValueError):
-            finite_horizon_batch([_task()], horizon=units.DAY, max_visits=0)
-        with pytest.raises(ValueError):
             _task(cells_per_line=0)
         with pytest.raises(ValueError):
             _task(interval=-1.0)
@@ -204,7 +203,8 @@ class TestPropagationMemo:
         key = propagation_cache_key(
             task, visits=12, tolerance=1e-12
         )
-        assert _propagation_cache_path(key, tmp_path).exists()
+        assert PROPAGATIONS.path(key) == tmp_path / f"renewal-{key}.npz"
+        assert PROPAGATIONS.path(key).exists()
         # A cold in-process memo now loads from disk instead of computing.
         clear_propagation_cache()
         finite_horizon_batch([task], horizon=units.DAY)
@@ -216,30 +216,36 @@ class TestPropagationMemo:
         task = _task()
         baseline = finite_horizon_batch([task], horizon=units.DAY)
         key = propagation_cache_key(task, visits=12, tolerance=1e-12)
-        _propagation_cache_path(key, tmp_path).write_bytes(b"not an npz")
+        PROPAGATIONS.path(key).write_bytes(b"not an npz")
         clear_propagation_cache()
         again = finite_horizon_batch([task], horizon=units.DAY)
         assert SURROGATE_MEMO_COUNTERS["computed"] == 1
         assert SURROGATE_MEMO_COUNTERS["disk"] == 0
         assert again == baseline
 
-    def test_memo_false_bypasses_both_layers_identically(self, monkeypatch, tmp_path):
+    def test_invalid_probabilities_on_disk_are_recomputed(self, monkeypatch, tmp_path):
+        # The propagation cache's own check: finite but impossible
+        # resolution probabilities (negative, or u + w > 1) are a miss.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        tasks = [_task(), _task(interval=4 * units.HOUR), _task()]
-        memoized = finite_horizon_batch(tasks, horizon=units.DAY)
-        clear_propagation_cache()
-        raw = finite_horizon_batch(tasks, horizon=units.DAY, memo=False)
-        assert raw == memoized
-        assert SURROGATE_MEMO_COUNTERS["memory"] == 0
-        assert SURROGATE_MEMO_COUNTERS["disk"] == 0
+        task = _task()
+        baseline = finite_horizon_batch([task], horizon=units.DAY)
+        key = propagation_cache_key(task, visits=12, tolerance=1e-12)
+        u, w = PROPAGATIONS.get(key)
+        for bad_u, bad_w in ((u - 1.0, w), (u + 0.6, w + 0.6)):
+            PROPAGATIONS.save(key, (bad_u, bad_w))
+            clear_propagation_cache()
+            again = finite_horizon_batch([task], horizon=units.DAY)
+            assert SURROGATE_MEMO_COUNTERS["computed"] == 1
+            assert SURROGATE_MEMO_COUNTERS["disk"] == 0
+            assert again == baseline
 
     def test_lru_evicts_oldest(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
-        monkeypatch.setattr(renewal_batch, "_PROPAGATION_CACHE_MAX", 2)
+        monkeypatch.setattr(renewal_batch.PROPAGATIONS, "capacity", 2)
         intervals = [units.HOUR, 2 * units.HOUR, 3 * units.HOUR]
         for interval in intervals:
             finite_horizon_batch([_task(interval=interval)], horizon=units.DAY)
-        assert len(renewal_batch._PROPAGATION_CACHE) == 2
+        assert len(renewal_batch.PROPAGATIONS) == 2
         # The first interval's entry was evicted; reusing it recomputes.
         finite_horizon_batch([_task(interval=units.HOUR)], horizon=units.DAY)
         assert SURROGATE_MEMO_COUNTERS["computed"] == 4
