@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,16 @@ def _screen_constraints(args: argparse.Namespace):
         raise SystemExit(f"pcm-scrub: {error}") from None
 
 
+def _fleet_spec(path: str):
+    """Load a fleet spec file; a missing or malformed one exits as ``pcm-scrub: …``."""
+    from .fleet import FleetSpec
+
+    try:
+        return FleetSpec.from_file(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"pcm-scrub: {error}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcm-scrub",
@@ -131,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine", choices=("scalar", "batch"), default="scalar",
         help="visit engine: 'scalar' walks one region per event, 'batch' "
-        "evaluates whole scheduler cohorts / device rounds as array ops "
-        "(see docs/performance.md for when results are bit-identical)",
+        "evaluates whole device rounds of static-interval policies as array "
+        "ops (see docs/performance.md for when results are bit-identical)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -452,19 +463,21 @@ def _obs_config(args: argparse.Namespace, horizon: float) -> ObsConfig:
 
 
 def _config(args: argparse.Namespace) -> SimulationConfig:
-    region = 512 if args.lines % 512 == 0 else args.lines
-    horizon = args.horizon_days * units.DAY
-    return SimulationConfig(
-        num_lines=args.lines,
-        region_size=region,
-        horizon=horizon,
-        seed=args.seed,
-        temperature_k=args.temperature,
-        compensated_sensing=getattr(args, "compensated", False),
-        obs=_obs_config(args, horizon),
-        fast_forward=not getattr(args, "no_fast_forward", False),
-        engine=getattr(args, "engine", "scalar"),
-    )
+    """The run the global flags describe; a bad flag exits as ``pcm-scrub: …``."""
+    try:
+        config = SimulationConfig(
+            num_lines=args.lines,
+            region_size=512 if args.lines % 512 == 0 else args.lines,
+            horizon=args.horizon_days * units.DAY,
+            seed=args.seed,
+            temperature_k=args.temperature,
+            compensated_sensing=getattr(args, "compensated", False),
+            fast_forward=not getattr(args, "no_fast_forward", False),
+            engine=getattr(args, "engine", "scalar"),
+        )
+        return replace(config, obs=_obs_config(args, config.horizon))
+    except ValueError as error:
+        raise SystemExit(f"pcm-scrub: {error}") from None
 
 
 def _profile_table(profile: dict[str, dict[str, float]], title: str) -> str:
@@ -639,18 +652,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    horizon = args.horizon_days * units.DAY
-    config = SimulationConfig(
-        num_lines=args.lines,
-        region_size=512 if args.lines % 512 == 0 else args.lines,
-        horizon=horizon,
-        seed=args.seed,
-        temperature_k=args.temperature,
+    config = _config(args)
+    config = replace(
+        config,
         obs=ObsConfig(
-            trace=True, sample_every=horizon / args.samples, profile=True
+            trace=True, sample_every=config.horizon / args.samples, profile=True
         ),
-        fast_forward=not getattr(args, "no_fast_forward", False),
-        engine=getattr(args, "engine", "scalar"),
     )
     rates = _workload(args, config.num_lines)
     kwargs: dict = {"interval": args.interval}
@@ -868,9 +875,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from .fleet import FleetSpec, run_campaign
+    from .fleet import run_campaign
 
-    spec = FleetSpec.from_file(args.spec)
+    spec = _fleet_spec(args.spec)
     constraints = _screen_constraints(args)
     if constraints is not None:
         return _cmd_fleet_screened(args, spec, constraints)
@@ -1059,10 +1066,9 @@ def _print_fleet_report(report) -> None:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from .fleet import FleetSpec
     from .service import submit_campaign
 
-    spec = FleetSpec.from_file(args.spec)
+    spec = _fleet_spec(args.spec)
     constraints = _screen_constraints(args)
     shards = args.shards if args.shards is not None else default_jobs()
     campaign = submit_campaign(
@@ -1216,10 +1222,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def cmd_provision_fleet(args: argparse.Namespace) -> int:
-    from .fleet import FleetSpec
     from .provision import CandidateSpace, CostModel, ProvisionError, ProvisionSearch
 
-    spec = FleetSpec.from_file(args.spec)
+    spec = _fleet_spec(args.spec)
     thresholds: tuple = (
         (None,) if args.thresholds is None else tuple(args.thresholds)
     )

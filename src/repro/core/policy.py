@@ -22,6 +22,7 @@ Observability rules the engine enforces for every policy:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -62,11 +63,11 @@ class VisitDecision:
 
 @dataclass(frozen=True)
 class BatchVisitDecision:
-    """What the scrub hardware did for a whole cohort of region visits.
+    """What the scrub hardware did for a whole device round of region visits.
 
     The vectorized counterpart of :class:`VisitDecision`: all masks are
     boolean ``(regions, region_size)`` arrays, row ``i`` describing the
-    cohort's ``i``-th region exactly as the scalar decision's masks would.
+    round's ``i``-th region exactly as the scalar decision's masks would.
     """
 
     #: Lines that ran the full ECC decoder.
@@ -77,7 +78,7 @@ class BatchVisitDecision:
     uncorrectable: np.ndarray
     #: Lines whose errors went unnoticed (detector miss); state untouched.
     missed: np.ndarray
-    #: Seconds until each cohort region's next scrub pass, shape ``(regions,)``.
+    #: Seconds until each region's next scrub pass, shape ``(regions,)``.
     next_intervals: np.ndarray
 
     def __post_init__(self) -> None:
@@ -94,6 +95,23 @@ class BatchVisitDecision:
         if bool((self.written_back & self.uncorrectable).any()):
             raise ValueError("a line cannot be both written back and uncorrectable")
 
+    def row(self, i: int) -> VisitDecision:
+        """Row ``i`` as the scalar decision for that region's visit.
+
+        Built without re-running :class:`VisitDecision`'s checks: this
+        decision already passed the same checks for every row, and the
+        engine asks for a row per region with consequences.
+        """
+        row = object.__new__(VisitDecision)
+        row.__dict__.update(
+            decoded=self.decoded[i],
+            written_back=self.written_back[i],
+            uncorrectable=self.uncorrectable[i],
+            missed=self.missed[i],
+            next_interval=float(self.next_intervals[i]),
+        )
+        return row
+
 
 class ScrubPolicy(ABC):
     """Base class for scrub mechanisms.
@@ -104,8 +122,10 @@ class ScrubPolicy(ABC):
     """
 
     def __init__(self, scheme: EccScheme, interval: float):
-        if interval <= 0:
-            raise ValueError("scrub interval must be positive")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(
+                f"scrub interval must be positive and finite, got {interval!r}"
+            )
         self.scheme = scheme
         self.interval = interval
         #: Event sink for policy-level decisions (``interval_adapted``).
@@ -142,9 +162,14 @@ class ScrubPolicy(ABC):
         same fixed value for the whole run — ``initial_interval(r)`` equals
         it for all ``r`` and every decision reschedules at it unchanged.
         The engine then replays whole device rounds (all regions, in the
-        scheduler's stagger order) as single batched evaluations.  Policies
-        that steer per-region intervals (the default) return ``None`` and
-        are driven through per-tick scheduler cohorts instead.
+        scheduler's stagger order), each decided in one call to the
+        policy's ``visit_batch(times, regions, error_counts, rng)``, which a
+        policy returning an interval must implement: row ``i`` of its
+        :class:`BatchVisitDecision` is what :meth:`visit` would decide for
+        ``regions[i]`` at ``times[i]``, with any randomness drawn as the
+        scalar walk draws it for those visits in row order.  Policies that
+        steer per-region intervals (the default) return ``None``; the batch
+        engine runs them on the scalar walk.
         """
         return None
 
@@ -184,28 +209,6 @@ class ScrubPolicy(ABC):
         which model what the hardware can actually observe.
         """
 
-    def visit_batch(
-        self,
-        times: np.ndarray,
-        regions: np.ndarray,
-        error_counts: np.ndarray,
-        rng: np.random.Generator,
-    ) -> BatchVisitDecision | None:
-        """Decide a whole cohort of visits at once, or ``None`` to opt out.
-
-        ``error_counts`` is ``(len(regions), region_size)``; row ``i`` is
-        region ``regions[i]`` observed at ``times[i]``.  Opting in requires
-        the RNG draw-order contract: any randomness must be drawn exactly
-        as the scalar path would draw it for the cohort's visits processed
-        in row order (one C-order array fill over the cohort satisfies
-        this - ``Generator`` fills element-sequentially, so
-        ``rng.random((R, S))`` is bitwise the R successive per-visit
-        ``rng.random(S)`` draws).  Policies that return ``None`` (the
-        default) are driven through :meth:`visit` row by row, which
-        preserves the scalar draw order by construction.
-        """
-        return None
-
     # -- observability helpers -------------------------------------------------
 
     def _detect(
@@ -228,9 +231,9 @@ class ScrubPolicy(ABC):
     def _detect_batch(
         self, error_counts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the detector to a ``(regions, region_size)`` cohort.
+        """Apply the detector to a ``(regions, region_size)`` device round.
 
-        One array fill covers the whole cohort; ``Generator.random`` fills
+        One array fill covers the whole round; ``Generator.random`` fills
         C-order element-sequentially, so the draw for row ``i`` is bitwise
         the ``rng.random(region_size)`` the scalar :meth:`_detect` would
         make for that visit, in the same order.

@@ -141,10 +141,6 @@ class ScrubStats:
         """
         self.ledger.add_sequence("scrub_decode", self.costs.decode_energy, counts)
 
-    def record_scrub_writes_bulk(self, counts) -> None:
-        """Charge one visit's write-back count per entry of ``counts``."""
-        self.ledger.add_sequence("scrub_write", self.costs.write_energy, counts)
-
     def record_error_counts(self, counts: np.ndarray) -> None:
         """Fold one visit's observed per-line error counts into the histogram."""
         counts = np.asarray(counts)

@@ -93,10 +93,10 @@ class ThresholdScrubPolicy(ScrubPolicy):
         error_counts: np.ndarray,
         rng: np.random.Generator,
     ) -> BatchVisitDecision:
-        """The threshold rule over a whole cohort in one set of array ops.
+        """The threshold rule over a whole device round in one set of array ops.
 
         Decision logic is identical to :meth:`visit` row by row; the
-        detector draw is one C-order fill over the cohort, which is
+        detector draw is one C-order fill over the round, which is
         bitwise the scalar per-visit draws in visit order.
         """
         flagged, missed = self._detect_batch(error_counts, rng)

@@ -125,12 +125,12 @@ class BchCode:
         if not any(syndromes):
             return BchDecodeResult(bits=received.copy(), errors_corrected=0, ok=True)
 
-        locator = self._berlekamp_massey(syndromes)
+        locator = self.field.berlekamp_massey(syndromes)
         degree = len(locator) - 1
         if degree > self.t:
             return BchDecodeResult(bits=received.copy(), errors_corrected=0, ok=False)
 
-        positions = self._chien_search(locator)
+        positions = self.field.chien_search(locator, self.n)
         if len(positions) != degree:
             return BchDecodeResult(bits=received.copy(), errors_corrected=0, ok=False)
 
@@ -174,57 +174,6 @@ class BchCode:
                 acc ^= field.alpha_pow(exponent)
             out.append(acc)
         return out
-
-    def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        """Error-locator polynomial Lambda(x) from the syndrome sequence."""
-        field = self.field
-        locator = [1]
-        prev = [1]
-        length = 0
-        shift = 1
-        prev_discrepancy = 1
-        for step, syndrome in enumerate(syndromes):
-            # Discrepancy: S_step + sum Lambda_i * S_{step-i}.
-            discrepancy = syndrome
-            for i in range(1, length + 1):
-                if i < len(locator) and locator[i]:
-                    discrepancy ^= field.mul(locator[i], syndromes[step - i])
-            if discrepancy == 0:
-                shift += 1
-                continue
-            scale = field.div(discrepancy, prev_discrepancy)
-            adjustment = [0] * shift + [field.mul(scale, c) for c in prev]
-            updated = list(locator) + [0] * max(0, len(adjustment) - len(locator))
-            for i, coeff in enumerate(adjustment):
-                updated[i] ^= coeff
-            if 2 * length <= step:
-                prev = locator
-                prev_discrepancy = discrepancy
-                length = step + 1 - length
-                shift = 1
-            else:
-                shift += 1
-            locator = updated
-        # Trim trailing zeros.
-        while len(locator) > 1 and locator[-1] == 0:
-            locator.pop()
-        return locator
-
-    def _chien_search(self, locator: list[int]) -> list[int]:
-        """Array bit positions whose cells are in error.
-
-        A root alpha^{-p} of Lambda corresponds to an error at natural
-        position p (coefficient of x^p), i.e. array index n-1-p.
-        """
-        field = self.field
-        positions = []
-        # Only natural positions covered by the shortened word plus the
-        # prefix need checking; check the whole group to detect mismatches.
-        for p in range(self.n):
-            x = field.alpha_pow(-p % field.order)
-            if field.poly_eval(locator, x) == 0:
-                positions.append(self.n - 1 - p)
-        return positions
 
     @staticmethod
     def _check_bits_array(bits: np.ndarray, expected: int, name: str) -> np.ndarray:

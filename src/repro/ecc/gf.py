@@ -1,6 +1,7 @@
 """GF(2^m) arithmetic via log/antilog tables.
 
-Everything BCH needs: field element multiply/divide/power, minimal
+Everything BCH and Reed-Solomon need: field element multiply/divide/power,
+the shared decoder steps (Berlekamp-Massey and Chien search), minimal
 polynomials of field elements (over GF(2)), and carry-less GF(2)[x]
 polynomial arithmetic on int bitmasks (bit i of the mask is the coefficient
 of x^i).
@@ -119,6 +120,54 @@ class GF2m:
                 if cb:
                     out[i + j] ^= self.mul(ca, cb)
         return out
+
+    def berlekamp_massey(self, syndromes: list[int]) -> list[int]:
+        """Error-locator polynomial Lambda(x) from the syndrome sequence."""
+        locator = [1]
+        prev = [1]
+        length = 0
+        shift = 1
+        prev_discrepancy = 1
+        for step, syndrome in enumerate(syndromes):
+            # Discrepancy: S_step + sum Lambda_i * S_{step-i}.
+            discrepancy = syndrome
+            for i in range(1, length + 1):
+                if i < len(locator) and locator[i]:
+                    discrepancy ^= self.mul(locator[i], syndromes[step - i])
+            if discrepancy == 0:
+                shift += 1
+                continue
+            scale = self.div(discrepancy, prev_discrepancy)
+            adjustment = [0] * shift + [self.mul(scale, c) for c in prev]
+            updated = list(locator) + [0] * max(0, len(adjustment) - len(locator))
+            for i, coeff in enumerate(adjustment):
+                updated[i] ^= coeff
+            if 2 * length <= step:
+                prev = locator
+                prev_discrepancy = discrepancy
+                length = step + 1 - length
+                shift = 1
+            else:
+                shift += 1
+            locator = updated
+        # Trim trailing zeros.
+        while len(locator) > 1 and locator[-1] == 0:
+            locator.pop()
+        return locator
+
+    def chien_search(self, locator: list[int], n: int) -> list[int]:
+        """Array positions in error for a length-``n`` codeword.
+
+        A root alpha^{-p} of Lambda corresponds to an error at natural
+        position p (coefficient of x^p), i.e. array index n-1-p.  Every
+        natural position is checked, shortened prefix included, so callers
+        can count roots against the locator degree to detect mismatches.
+        """
+        positions = []
+        for p in range(n):
+            if self.poly_eval(locator, self.alpha_pow(-p % self.order)) == 0:
+                positions.append(n - 1 - p)
+        return positions
 
     # -- minimal polynomials -----------------------------------------------------
 

@@ -119,12 +119,12 @@ class RsCode:
         if not any(syndromes):
             return RsDecodeResult(symbols=received.copy(), errors_corrected=0, ok=True)
 
-        locator = self._berlekamp_massey(syndromes)
+        locator = self.field.berlekamp_massey(syndromes)
         degree = len(locator) - 1
         if degree > self.t:
             return RsDecodeResult(symbols=received.copy(), errors_corrected=0, ok=False)
 
-        positions = self._chien_search(locator)
+        positions = self.field.chien_search(locator, self.n)
         if len(positions) != degree:
             return RsDecodeResult(symbols=received.copy(), errors_corrected=0, ok=False)
         if any(not 0 <= p < self.codeword_symbols for p in positions):
@@ -175,47 +175,6 @@ class RsCode:
                 acc ^= field.mul(int(received[j]), field.alpha_pow(exponent))
             out.append(acc)
         return out
-
-    def _berlekamp_massey(self, syndromes: list[int]) -> list[int]:
-        field = self.field
-        locator = [1]
-        prev = [1]
-        length = 0
-        shift = 1
-        prev_discrepancy = 1
-        for step, syndrome in enumerate(syndromes):
-            discrepancy = syndrome
-            for i in range(1, length + 1):
-                if i < len(locator) and locator[i]:
-                    discrepancy ^= field.mul(locator[i], syndromes[step - i])
-            if discrepancy == 0:
-                shift += 1
-                continue
-            scale = field.div(discrepancy, prev_discrepancy)
-            adjustment = [0] * shift + [field.mul(scale, c) for c in prev]
-            updated = list(locator) + [0] * max(0, len(adjustment) - len(locator))
-            for i, coeff in enumerate(adjustment):
-                updated[i] ^= coeff
-            if 2 * length <= step:
-                prev = locator
-                prev_discrepancy = discrepancy
-                length = step + 1 - length
-                shift = 1
-            else:
-                shift += 1
-            locator = updated
-        while len(locator) > 1 and locator[-1] == 0:
-            locator.pop()
-        return locator
-
-    def _chien_search(self, locator: list[int]) -> list[int]:
-        field = self.field
-        positions = []
-        for p in range(self.n):
-            x = field.alpha_pow(-p % field.order)
-            if field.poly_eval(locator, x) == 0:
-                positions.append(self.n - 1 - p)
-        return positions
 
     def _locator_derivative_at(self, locator: list[int], x: int) -> int:
         """Formal derivative of Lambda evaluated at ``x`` (char-2 field)."""

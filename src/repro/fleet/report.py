@@ -39,6 +39,9 @@ from .spec import DeviceSpec, FleetSpec
 #: Per-10^9-hours scale that defines the FIT unit.
 FIT_HOURS = 1e9
 
+#: Marks a journal-record field that has no default.
+_REQUIRED = object()
+
 #: Integer counters summed exactly across devices and lots.
 _COUNT_KEYS = (
     "uncorrectable",
@@ -131,21 +134,32 @@ class DeviceRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceRecord":
+        """Parse a journal record.
+
+        A missing required field raises ``KeyError`` naming it; a value
+        its converter rejects raises ``ValueError`` naming the field.
+        """
+
+        def read(key: str, convert, default=_REQUIRED):
+            value = data[key] if default is _REQUIRED else data.get(key, default)
+            try:
+                return convert(value)
+            except (TypeError, ValueError, ArithmeticError) as error:
+                raise ValueError(f"field {key!r}: {error}") from None
+
         return cls(
-            index=int(data["index"]),
-            lot=str(data["lot"]),
-            seed=int(data["seed"]),
-            temperature_k=float(data["temperature_k"]),
-            nu_mu_scale=float(data["nu_mu_scale"]),
-            nu_sigma_scale=float(data["nu_sigma_scale"]),
-            endurance_mean=(
-                None
-                if data.get("endurance_mean") is None
-                else float(data["endurance_mean"])
+            index=read("index", int),
+            lot=read("lot", str),
+            seed=read("seed", int),
+            temperature_k=read("temperature_k", float),
+            nu_mu_scale=read("nu_mu_scale", float),
+            nu_sigma_scale=read("nu_sigma_scale", float),
+            endurance_mean=read(
+                "endurance_mean", lambda v: None if v is None else float(v), None
             ),
-            summary=dict(data.get("summary", {})),
-            final_state=dict(data.get("final_state", {})),
-            runtime_seconds=float(data.get("runtime_seconds", 0.0)),
+            summary=read("summary", dict, {}),
+            final_state=read("final_state", dict, {}),
+            runtime_seconds=read("runtime_seconds", float, 0.0),
         )
 
     def normalized(self) -> "DeviceRecord":

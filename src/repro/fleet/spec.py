@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,11 @@ from ..workloads.generators import DemandRates
 
 #: Journal/spec schema version (bumped on incompatible format changes).
 SPEC_VERSION = 1
+#: Device seeds (``seed + index``) must fit a 63-bit RNG seed.
+_SEED_LIMIT = 2**63
+#: Largest fleet whose float apportionment quotas stay exact to well
+#: under one device (float64 carries 53 bits).
+_MAX_DEVICES = 2**48
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,10 @@ class LotParameter:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LotParameter":
-        return cls(
-            mean=float(data["mean"]),
-            spread=float(data.get("spread", 0.0)),
-            low=None if data.get("low") is None else float(data["low"]),
-            high=None if data.get("high") is None else float(data["high"]),
-        )
+    def from_dict(cls, data: dict, path: str = "lot parameter") -> "LotParameter":
+        """Parse the JSON form; a malformed field raises ``ValueError`` naming it."""
+        fields = _read(data, path, _PARAMETER_FIELDS, required=("mean",))
+        return _build(cls, fields, path)
 
 
 #: The identity scale: multiplying by exactly 1.0 leaves every float
@@ -170,28 +173,14 @@ class Lot:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Lot":
-        def parameter(key: str, default: LotParameter | None) -> LotParameter | None:
-            if key not in data or data[key] is None:
-                return default
-            return LotParameter.from_dict(data[key])
+    def from_dict(cls, data: dict, path: str = "lot") -> "Lot":
+        """Parse the JSON form; a malformed field raises ``ValueError`` naming it.
 
-        return cls(
-            name=str(data["name"]),
-            weight=float(data.get("weight", 1.0)),
-            nu_mu_scale=parameter("nu_mu_scale", _UNIT_SCALE),
-            nu_sigma_scale=parameter("nu_sigma_scale", _UNIT_SCALE),
-            temperature_k=parameter("temperature_k", None),
-            endurance_mean=parameter("endurance_mean", None),
-            policy=(
-                None if data.get("policy") is None else str(data["policy"])
-            ),
-            policy_kwargs=(
-                None
-                if data.get("policy_kwargs") is None
-                else dict(data["policy_kwargs"])
-            ),
-        )
+        A ``null`` field keeps its default (the unit scale for the drift
+        scales, no override for the rest).
+        """
+        fields = _read(data, path, _LOT_FIELDS, required=("name",))
+        return _build(cls, fields, path)
 
 
 @dataclass(frozen=True)
@@ -243,18 +232,23 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("campaign name must be non-empty")
-        if self.devices <= 0:
-            raise ValueError("devices must be positive")
+        if not 0 < self.devices <= _MAX_DEVICES:
+            raise ValueError(f"devices must be in [1, 2**48], got {self.devices}")
         if self.policy not in POLICY_FACTORIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; "
                 f"available: {sorted(POLICY_FACTORIES)}"
             )
         if not self.lots:
-            raise ValueError("at least one lot is required")
+            raise ValueError("lots must hold at least one lot")
         names = [lot.name for lot in self.lots]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate lot names: {names}")
+        if not 0 <= self.seed <= _SEED_LIMIT - self.devices:
+            raise ValueError(
+                f"config.seed {self.seed} with {self.devices} devices leaves "
+                f"device seeds (seed + index) outside [0, 2**63)"
+            )
         if self.capacity_gib_per_device <= 0:
             raise ValueError("capacity_gib_per_device must be positive")
         if self.demand_write_rate is not None and self.demand_write_rate <= 0:
@@ -509,51 +503,18 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ValueError(
-                f"unsupported fleet spec version {version!r} "
-                f"(this build reads version {SPEC_VERSION})"
-            )
-        raw = dict(data.get("config", {}))
-        endurance = raw.pop("endurance", "unset")
-        obs = raw.pop("obs", None)
-        verify = raw.pop("verify", None)
-        if "horizon_days" in raw:
-            raw["horizon"] = float(raw.pop("horizon_days")) * units.DAY
-        kwargs: dict = dict(raw)
-        if endurance != "unset":
-            kwargs["endurance"] = (
-                None
-                if endurance is None
-                else EnduranceSpec(
-                    mean_writes=float(endurance["mean_writes"]),
-                    sigma_log10=float(endurance.get("sigma_log10", 0.25)),
-                )
-            )
-        if obs is not None:
-            kwargs["obs"] = ObsConfig(**obs)
-        if verify is not None:
-            kwargs["verify"] = VerifyConfig(**verify)
-        try:
-            base_config = SimulationConfig(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"bad fleet spec config block: {exc}") from None
+        """Parse the JSON form; a malformed field raises ``ValueError`` naming it.
+
+        Every key must be one the format defines, at every level; values
+        are type-checked and every number must be finite.  Policy kwargs
+        are checked when the policy is built, not here.
+        """
+        fields = _read(data, "", _SPEC_FIELDS, required=("name", "devices", "policy"))
+        fields.pop("version", None)
+        base_config = fields.pop("config", None) or SimulationConfig()
         return cls(
-            name=str(data["name"]),
-            devices=int(data["devices"]),
-            policy=str(data["policy"]),
-            policy_kwargs=dict(data.get("policy_kwargs", {})),
             base_config=base_config,
-            lots=tuple(Lot.from_dict(lot) for lot in data.get("lots", [])),
-            capacity_gib_per_device=float(
-                data.get("capacity_gib_per_device", 16.0)
-            ),
-            demand_write_rate=(
-                None
-                if data.get("demand_write_rate") is None
-                else float(data["demand_write_rate"])
-            ),
+            **{key: value for key, value in fields.items() if value is not None},
         )
 
     @classmethod
@@ -569,3 +530,196 @@ class FleetSpec:
         """SHA-256 over the canonical JSON form (checkpoint validation)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# -- JSON parsing -------------------------------------------------------------
+#
+# ``from_dict`` reads untrusted JSON.  Each field has a parser taking
+# ``(value, path)``; a malformed value raises ``ValueError`` naming the
+# field by its path in the spec (``devices``, ``config.seed``,
+# ``lots[1].weight``).
+
+
+def _bad(path: str, problem: str) -> ValueError:
+    return ValueError(f"fleet spec field {path}: {problem}" if path else f"fleet spec: {problem}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise _bad(path, f"expected a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _read(value, path: str, fields: dict, required: tuple[str, ...] = ()) -> dict:
+    """Parse a JSON object whose keys ``fields`` defines, key by key."""
+    data = _object(value, path)
+    unknown = sorted(str(key) for key in data if key not in fields)
+    if unknown:
+        where = f"{path} block" if path else "top level"
+        raise ValueError(
+            f"fleet spec {where} has unknown keys {unknown}; "
+            f"the format defines {sorted(fields)}"
+        )
+    for key in required:
+        if key not in data:
+            raise _bad(_join(path, key), "is required")
+    return {key: fields[key](item, _join(path, key)) for key, item in data.items()}
+
+
+def _build(cls, fields: dict, path: str):
+    """``cls(**fields)``, ``None`` fields left at their defaults."""
+    try:
+        return cls(**{key: value for key, value in fields.items() if value is not None})
+    except ValueError as error:
+        raise _bad(path, str(error)) from None
+
+
+def _block(cls, fields: dict, required: tuple[str, ...] = (), null=None):
+    """A parser building ``cls`` from a JSON object; ``null`` gives ``null``."""
+
+    def parse(value, path: str):
+        if value is None:
+            return null
+        return _build(cls, _read(value, path, fields, required), path)
+
+    return parse
+
+
+def _optional(parse):
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise _bad(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise _bad(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _number(value, path: str) -> int | float:
+    """A finite JSON number, unconverted (so canonical forms keep their ints)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _bad(path, f"expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise _bad(path, f"must be finite, got {value!r}")
+    return value
+
+
+def _real(value, path: str) -> float:
+    return float(_number(value, path))
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _bad(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _version(value, path: str) -> int:
+    if value != SPEC_VERSION:
+        raise ValueError(
+            f"unsupported fleet spec version {value!r} "
+            f"(this build reads version {SPEC_VERSION})"
+        )
+    return value
+
+
+#: The config block's keys: :meth:`FleetSpec.to_dict`'s plus the
+#: ``horizon_days`` alias.  Values keep their JSON types, so a spec's
+#: canonical form (and content hash) is what it always was.
+_CONFIG_FIELDS = {
+    "num_lines": _integer,
+    "region_size": _integer,
+    "horizon": _number,
+    "horizon_days": _number,
+    "seed": _integer,
+    "temperature_k": _number,
+    "endurance": _block(
+        EnduranceSpec, {"mean_writes": _real, "sigma_log10": _real}, ("mean_writes",)
+    ),
+    "retire_hard_limit": _optional(_integer),
+    "read_refresh": _flag,
+    "compensated_sensing": _flag,
+    "keep": _integer,
+    "spares_per_region": _optional(_integer),
+    "engine": _text,
+    "fast_forward": _flag,
+    "obs": _block(
+        ObsConfig,
+        {"trace": _flag, "sample_every": _optional(_number), "profile": _flag},
+        null=ObsConfig(),
+    ),
+    "verify": _block(
+        VerifyConfig,
+        {"invariants": _flag, "check_every": _integer, "energy_rtol": _number},
+        null=VerifyConfig(),
+    ),
+}
+
+
+def _base_config(value, path: str) -> SimulationConfig:
+    kwargs = _read(value, path, _CONFIG_FIELDS)
+    if "horizon_days" in kwargs:
+        days = kwargs.pop("horizon_days")
+        kwargs["horizon"] = float(days) * units.DAY
+        if not (math.isfinite(kwargs["horizon"]) and kwargs["horizon"] > 0):
+            raise _bad(
+                _join(path, "horizon_days"),
+                f"must give a positive, finite horizon, got {days!r}",
+            )
+    try:
+        return SimulationConfig(**kwargs)
+    except ValueError as error:
+        raise _bad(path, str(error)) from None
+
+
+def _lots(value, path: str) -> tuple[Lot, ...]:
+    if not isinstance(value, list):
+        raise _bad(path, f"expected a JSON array, got {value!r}")
+    return tuple(Lot.from_dict(lot, f"{path}[{i}]") for i, lot in enumerate(value))
+
+
+_PARAMETER_FIELDS = {
+    "mean": _real,
+    "spread": _real,
+    "low": _optional(_real),
+    "high": _optional(_real),
+}
+
+_LOT_FIELDS = {
+    "name": _text,
+    "weight": _real,
+    "nu_mu_scale": _optional(LotParameter.from_dict),
+    "nu_sigma_scale": _optional(LotParameter.from_dict),
+    "temperature_k": _optional(LotParameter.from_dict),
+    "endurance_mean": _optional(LotParameter.from_dict),
+    "policy": _optional(_text),
+    "policy_kwargs": _optional(_object),
+}
+
+_SPEC_FIELDS = {
+    "version": _version,
+    "name": _text,
+    "devices": _integer,
+    "policy": _text,
+    "policy_kwargs": _object,
+    "capacity_gib_per_device": _real,
+    "demand_write_rate": _optional(_real),
+    "config": _base_config,
+    "lots": _lots,
+}

@@ -143,8 +143,8 @@ class EnergyLedger:
     ) -> None:
         """Record one :meth:`add` per entry of ``counts``, in order.
 
-        The batch engine's per-cohort bulk charge for categories whose
-        per-visit count varies (decodes, write-backs): bit-identical to the
+        The batch engine's per-round bulk charge for categories whose
+        per-visit count varies (decodes): bit-identical to the
         scalar walk's sequence of ``add(category, energy_per_op, c)`` calls
         because the float accumulator is advanced by the same per-visit
         additions in the same order, never by one fused dot product.

@@ -9,8 +9,9 @@ Three engines at different fidelity/speed points:
   engine that tracks, per line, only the few smallest drift crossing times
   (order-statistics sampling), making year-scale simulations of large line
   populations run in seconds.  :mod:`repro.sim.batch` layers a batched
-  visit loop on the same state (whole scheduler cohorts / device rounds as
-  single array ops) for busy workloads where fast-forward cannot engage;
+  visit loop on the same state (whole device rounds as single array ops,
+  for static uniform-interval policies; every other policy keeps the
+  scalar walk) for busy workloads where fast-forward cannot engage;
   select it with ``SimulationConfig(engine="batch")``.
 * :mod:`repro.sim.bitexact` - drives :class:`repro.pcm.array.LineArray`
   and the real BCH/SECDED codecs bit by bit; slow, used for validation.

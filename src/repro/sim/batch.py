@@ -1,39 +1,43 @@
-"""Batched visit engine: whole scheduler cohorts as single array ops.
+"""Batched visit engine: whole device rounds as single array ops.
 
 The scalar :class:`repro.sim.population.PopulationEngine` walks one region
 per iteration, paying the full per-visit Python overhead (index gather,
 decision call, half a dozen ledger updates) tens of thousands of times on
 busy workloads where the quiescent fast-forward layer cannot engage.  This
-module batches that loop: every region due at the same scheduler tick -
-and, for static uniform-interval policies, the *entire device round* - is
-evaluated as one ``(regions, region_size)`` block: a single drift-crossing
-comparison, a single detector draw, one vectorized policy decision
-(:meth:`repro.core.policy.ScrubPolicy.visit_batch`), and bulk stats/energy
-charges (:meth:`repro.core.stats.ScrubStats.record_reads_bulk` and
-friends).  Only the sparse consequences - uncorrectable recoveries,
-write-backs, retirement - stay in a per-region loop, in ascending region
-order so the population RNG stream is consumed exactly as the scalar walk
-consumes it.
+module batches that loop for static uniform-interval policies (those whose
+:meth:`repro.core.policy.ScrubPolicy.batch_interval` is not ``None``): the
+*entire device round* is evaluated as one ``(regions, region_size)`` block -
+a single drift-crossing comparison, a single detector draw, one vectorized
+policy decision (``visit_batch``), and bulk stats/energy charges
+(:meth:`repro.core.stats.ScrubStats.record_reads_bulk` and friends).  Only
+the sparse consequences - uncorrectable recoveries, write-backs, retirement
+- go through the scalar engine's per-visit settlement, region by region in
+ascending order so the population RNG stream is consumed exactly as the
+scalar walk consumes it.
+
+Every other policy (adaptive and combined scrub steer per-region
+intervals) runs on the scalar walk itself.  Batching the scheduler's
+per-tick cohorts instead buys nothing: the stagger's distinct phases make
+almost every cohort a single visit, and such a loop measured 1.4-1.6x
+slower than the scalar walk it replays (docs/performance.md).
 
 RNG draw-order contract (what is bit-identical, and why):
 
 * **Engine stream** (detector draws): one C-order ``random((R, S))`` fill
-  per cohort is bitwise the scalar walk's R successive ``random(S)``
+  per round is bitwise the scalar walk's R successive ``random(S)``
   per-visit draws, so detector schemes stay bit-identical - including the
   multi-region case the scalar fast-forward layer must stand down for.
 * **Population stream** (rewrite/lifetime draws): mutations run per region
   in ascending region order, the same order the scalar walk visits them
   within a round, so idle workloads are bit-identical for every policy.
-* **Workload stream** (demand draws): in round mode demand traffic *is*
-  batched across the round (one Poisson fill, one arrival-offset fill),
-  which reorders draws relative to the scalar walk's per-region
-  interleaving whenever more than one region carries demand.  Those runs
-  are statistically equivalent, not bitwise equal, and are gated by the
-  batch-vs-scalar band in :mod:`repro.verify.equivalence`.  Single-region
-  runs and write-idle workloads (including read-refresh with zero read
-  rates) replay the scalar draw sequence exactly, as does cohort mode,
-  which falls back to member-at-a-time processing for the rare tied
-  cohort that carries demand or read-refresh traffic.
+* **Workload stream** (demand draws): demand traffic *is* batched across
+  the round (one Poisson fill, one arrival-offset fill), which reorders
+  draws relative to the scalar walk's per-region interleaving whenever
+  more than one region carries demand.  Those runs are statistically
+  equivalent, not bitwise equal, and are gated by the batch-vs-scalar band
+  in :mod:`repro.verify.equivalence`.  Single-region runs and write-idle
+  workloads (including read-refresh with zero read rates) replay the
+  scalar draw sequence exactly.
 
 Bit-identity is pinned by the ``batch_identity`` metamorphic law
 (:mod:`repro.verify.metamorphic`); the statistical regime by
@@ -50,120 +54,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.policy import BatchVisitDecision
 from ..core.stats import ScrubStats
 from ..obs.sampler import PeriodicSampler
 from .population import PopulationEngine, _advance_rng
 
 
 class BatchPopulationEngine(PopulationEngine):
-    """Cohort-at-a-time event loop over the same population state.
+    """Round-at-a-time event loop over the same population state.
 
     Construction arguments are identical to
-    :class:`~repro.sim.population.PopulationEngine`; only
-    :meth:`simulate` differs.  Two driving modes:
-
-    * **round mode** - when the policy exposes a uniform static cadence
-      (:meth:`~repro.core.policy.ScrubPolicy.batch_interval`), the stagger
-      schedule is replayed whole-device-rounds at a time, with a
-      round-level quiescent skip replacing the scalar per-region
-      fast-forward (and covering the multi-region detector case the
-      scalar layer cannot);
-    * **cohort mode** - any other policy keeps the real scheduler; visits
-      sharing the exact same tick are popped together and processed as
-      one cohort (with the stagger's distinct phases, cohorts are
-      typically singletons, which replays the scalar walk bit-exactly).
+    :class:`~repro.sim.population.PopulationEngine`; only the visit loop
+    differs.  When the policy exposes a uniform static cadence
+    (:meth:`~repro.core.policy.ScrubPolicy.batch_interval`), the stagger
+    schedule is replayed whole device rounds at a time, with a round-level
+    quiescent skip replacing the scalar per-region fast-forward (and
+    covering the multi-region detector case the scalar layer cannot).  Any
+    other policy runs on the inherited scalar walk, bit for bit.
     """
 
     engine_mode = "batch"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        #: The round cadence, or ``None`` when the policy steers per-region
+        #: intervals and the run takes the scalar walk.
+        self._round_interval = self.policy.batch_interval()
         # Static per-region demand mask: which regions ever see demand
         # writes.  Regions outside it draw no workload RNG, matching the
         # scalar `_apply_demand` early return.
         write = self.rates.write_rate.reshape(self.num_regions, self.region_size)
         self._demand_active = (write != 0).any(axis=1)
         #: Round-mode visit clock (``None`` until round mode starts, and
-        #: forever in cohort mode).  Lives on the engine so round-mode runs
-        #: can suspend between rounds and resume bit-identically.
+        #: forever on the scalar walk).  Lives on the engine so round-mode
+        #: runs can suspend between rounds and resume bit-identically.
         self._round_times: np.ndarray | None = None
 
     def simulate(self, budget: int | None = None) -> ScrubStats:
         """Simulate to the horizon and return the (shared) stats ledger.
 
         ``budget`` bounds this call to that many loop events (device
-        rounds or round-skip jumps in round mode, scheduler cohorts in
-        cohort mode); see
-        :meth:`repro.sim.population.PopulationEngine.simulate` for the
+        rounds or round-skip jumps; scheduler events on the scalar walk);
+        see :meth:`repro.sim.population.PopulationEngine.simulate` for the
         suspend/resume contract.
         """
+        interval = self._round_interval
+        if interval is None:
+            return super().simulate(budget)
         if self.complete:
             return self.stats
         engine_rng = self.streams.get("engine")
         workload_rng = self.streams.get("workload")
-        interval = self.policy.batch_interval()
-        if interval is not None:
-            return self._simulate_rounds(
-                interval, engine_rng, workload_rng, budget
-            )
-        return self._simulate_cohorts(engine_rng, workload_rng, budget)
-
-    # -- round mode (static uniform-interval policies) -----------------------
-
-    def _prepare_rounds(self, interval: float) -> None:
-        """Round-mode analogue of the base engine's ``_prepare``."""
-        if self._prepared:
-            return
-        self._prepared = True
-        self._emit_engine_mode()
-        if self.obs is not None and self.obs.config.sample_every is not None:
-            self._sampler = PeriodicSampler(
-                self.obs.config.sample_every,
-                self._collect_sample,
-                self.obs.timeseries,
-            )
-        num_regions = self.num_regions
-        ff_active = self.fast_forward
-        if ff_active and self.read_refresh:
-            self._note_fast_forward_disabled("read_refresh", 0.0)
-            ff_active = False
-        if ff_active:
-            if any(
-                self.policy.fast_forward_interval(r) is None
-                for r in range(num_regions)
-            ):
-                self._note_fast_forward_disabled("policy", 0.0)
-                ff_active = False
-            elif not bool(self._ff_region_idle.all()):
-                self._note_fast_forward_disabled("demand", 0.0)
-                ff_active = False
-            else:
-                self.population.enable_region_tracking(self.region_size)
-        self._ff_active = ff_active
-        if self._round_times is None:
-            # The scheduler's stagger, replayed verbatim: region r first
-            # visits at interval*(r+1)/R, then advances by iterated
-            # `+= interval` per round - the same per-region float additions
-            # the scalar heap replays, so every visit time is bitwise the
-            # scalar one.  Within a round times ascend with the region
-            # index and rounds never interleave (round k ends at
-            # (k+1)*interval, before round k+1's first phase), matching the
-            # heap's (time, region) pop order.
-            self._round_times = np.array(
-                [interval * (r + 1) / num_regions for r in range(num_regions)]
-            )
-
-    def _simulate_rounds(
-        self,
-        interval: float,
-        engine_rng: np.random.Generator,
-        workload_rng: np.random.Generator,
-        budget: int | None,
-    ) -> ScrubStats:
+        self._prepare()
         num_regions = self.num_regions
         regions = np.arange(num_regions)
-        self._prepare_rounds(interval)
         times = self._round_times
         sampler = self._sampler
 
@@ -198,6 +141,43 @@ class BatchPopulationEngine(PopulationEngine):
                 sampler.finalize(self.horizon)
         self.complete = True
         return self.stats
+
+    def _prepare_loop(self, ff_active: bool) -> bool:
+        """Round-mode setup: arm the round skip and start the round clock.
+
+        The round skip folds whole rounds, so it needs every region
+        fast-forward eligible and demand-idle; otherwise it stands down for
+        the run.  A snapshot restore may already have set the clock.
+        """
+        interval = self._round_interval
+        if interval is None:
+            return super()._prepare_loop(ff_active)
+        num_regions = self.num_regions
+        if ff_active:
+            if any(
+                self.policy.fast_forward_interval(r) is None
+                for r in range(num_regions)
+            ):
+                self._note_fast_forward_disabled("policy", 0.0)
+                ff_active = False
+            elif not bool(self._ff_region_idle.all()):
+                self._note_fast_forward_disabled("demand", 0.0)
+                ff_active = False
+            else:
+                self.population.enable_region_tracking(self.region_size)
+        if self._round_times is None:
+            # The scheduler's stagger, replayed verbatim: region r first
+            # visits at interval*(r+1)/R, then advances by iterated
+            # `+= interval` per round - the same per-region float additions
+            # the scalar heap replays, so every visit time is bitwise the
+            # scalar one.  Within a round times ascend with the region
+            # index and rounds never interleave (round k ends at
+            # (k+1)*interval, before round k+1's first phase), matching the
+            # heap's (time, region) pop order.
+            self._round_times = np.array(
+                [interval * (r + 1) / num_regions for r in range(num_regions)]
+            )
+        return ff_active
 
     def _skip_quiescent_rounds(
         self,
@@ -279,81 +259,6 @@ class BatchPopulationEngine(PopulationEngine):
                 )
         return True
 
-    # -- cohort mode (scheduler-driven policies) -----------------------------
-
-    def _simulate_cohorts(
-        self,
-        engine_rng: np.random.Generator,
-        workload_rng: np.random.Generator,
-        budget: int | None,
-    ) -> ScrubStats:
-        self._prepare()
-        scheduler = self._scheduler
-        sampler = self._sampler
-        steps = 0
-        with self._profiler.span("simulate"):
-            while len(scheduler) and scheduler.peek_time() <= self.horizon:
-                if budget is not None and steps >= budget:
-                    return self.stats
-                steps += 1
-                visit = scheduler.pop()
-                if sampler is not None:
-                    sampler.advance_to(visit.time)
-                if self._ff_active:
-                    resumed = self._maybe_fast_forward(
-                        visit.time, visit.region, engine_rng, sampler
-                    )
-                    if resumed is not None:
-                        scheduler.advance_to(resumed, visit.region)
-                        continue
-                # Everything due at this exact tick is one cohort; the heap
-                # pops ties in ascending region order, matching the batch
-                # row order.
-                cohort_times = [visit.time]
-                cohort_regions = [visit.region]
-                while len(scheduler) and scheduler.peek_time() == visit.time:
-                    peer = scheduler.pop()
-                    cohort_times.append(peer.time)
-                    cohort_regions.append(peer.region)
-                regions_arr = np.array(cohort_regions)
-                # A tied cohort batches only when no member draws workload
-                # or inter-visit population randomness: demand and
-                # read-refresh interleave their draws with each member's
-                # visit mutations in the scalar walk, an order a batched
-                # evaluation cannot replay.  Such ties fall back to
-                # member-at-a-time processing (still the batch code path,
-                # one-row cohorts), which replays the scalar walk exactly.
-                if len(cohort_regions) > 1 and (
-                    self.read_refresh or self._demand_active[regions_arr].any()
-                ):
-                    next_intervals = [
-                        float(
-                            self._process_cohort(
-                                np.array([when]),
-                                np.array([region]),
-                                engine_rng,
-                                workload_rng,
-                            )[0]
-                        )
-                        for when, region in zip(cohort_times, cohort_regions)
-                    ]
-                else:
-                    next_intervals = self._process_cohort(
-                        np.array(cohort_times),
-                        regions_arr,
-                        engine_rng,
-                        workload_rng,
-                    )
-                for when, region, nxt in zip(
-                    cohort_times, cohort_regions, next_intervals
-                ):
-                    scheduler.push(when + float(nxt), region)
-            self._account_demand_reads()
-            if sampler is not None:
-                sampler.finalize(self.horizon)
-        self.complete = True
-        return self.stats
-
     # -- the batched visit ----------------------------------------------------
 
     def _process_cohort(
@@ -362,22 +267,20 @@ class BatchPopulationEngine(PopulationEngine):
         regions: np.ndarray,
         engine_rng: np.random.Generator,
         workload_rng: np.random.Generator,
-    ) -> np.ndarray:
+    ) -> None:
         """One batched pass over ``regions`` visited at per-region ``times``.
 
         Dense work (demand, error-count evaluation, detector, decision,
-        read/detect/decode/histogram charges) runs as whole-cohort array
-        ops; sparse consequences (UE recovery, write-backs, retirement,
-        tracing, invariant checks) run per region in ascending order so
-        the population stream and the scrub-write ledger replay the
-        scalar sequence.  Returns the per-region next intervals.
+        read/detect/decode/histogram charges) runs as whole-round array
+        ops; sparse consequences go through the scalar engine's
+        :meth:`~repro.sim.population.PopulationEngine._settle_visit`, per
+        region in ascending order, so the population stream and the
+        scrub-write ledger replay the scalar sequence.
         """
         profiler = self._profiler
-        tracer = self._tracer
-        population = self.population
         stats = self.stats
+        verifier_armed = self._verifier.enabled
         num_regions = regions.shape[0]
-        lines_per_region = self.region_size
         idx2 = self._region_index[regions]
 
         with profiler.span("visit"):
@@ -386,20 +289,14 @@ class BatchPopulationEngine(PopulationEngine):
                 if self.read_refresh:
                     for i in range(num_regions):
                         self._apply_read_refresh(
-                            self._region_index[regions[i]],
-                            float(times[i]),
-                            workload_rng,
+                            idx2[i], float(times[i]), workload_rng
                         )
 
-            error_counts = population.error_counts(idx2, times)
+            error_counts = self.population.error_counts(idx2, times)
             with profiler.span("decode"):
                 decision = self.policy.visit_batch(
                     times, regions, error_counts, engine_rng
                 )
-                if decision is None:
-                    decision = self._stacked_scalar_visits(
-                        times, regions, error_counts, engine_rng
-                    )
 
             # Dense accounting, replayed in the scalar ledger order: every
             # visit reads (and detector schemes check) the whole region;
@@ -408,181 +305,38 @@ class BatchPopulationEngine(PopulationEngine):
             # invariant checker cross-checks the ledger after *every*
             # visit, so verified runs charge region by region inside the
             # loop below instead (same additions, same final ledger).
-            has_detector = self.policy.scheme.has_detector
-            decoded_counts = decision.decoded.sum(axis=1)
-            if not self._verifier.enabled:
-                stats.record_reads_bulk(lines_per_region, num_regions)
-                if has_detector:
-                    stats.record_detects_bulk(lines_per_region, num_regions)
-                stats.record_decodes_bulk(decoded_counts)
+            if not verifier_armed:
+                stats.record_reads_bulk(self.region_size, num_regions)
+                if self.policy.scheme.has_detector:
+                    stats.record_detects_bulk(self.region_size, num_regions)
+                stats.record_decodes_bulk(decision.decoded.sum(axis=1))
                 stats.record_error_counts(error_counts[decision.decoded])
                 stats.detector_misses += int(decision.missed.sum())
 
-            partial = bool(getattr(self.policy, "partial_writeback", False))
-            ue_any = decision.uncorrectable.any(axis=1)
-            wb_any = decision.written_back.any(axis=1)
             # Tracing, invariant checks, and retirement need every region;
             # otherwise only regions with consequences enter the loop.
             if (
                 self.retire_hard_limit is not None
-                or tracer.enabled
-                or self._verifier.enabled
+                or self._tracer.enabled
+                or verifier_armed
             ):
                 targets = range(num_regions)
             else:
-                targets = np.flatnonzero(ue_any | wb_any).tolist()
-            hist_cap = stats.error_histogram.size - 1
-
+                targets = np.flatnonzero(
+                    decision.uncorrectable.any(axis=1)
+                    | decision.written_back.any(axis=1)
+                ).tolist()
             for i in targets:
-                region = int(regions[i])
-                time = float(times[i])
-                idx = self._region_index[region]
-                row_counts = error_counts[i]
-                decoded_row = decision.decoded[i]
-                wb_row = decision.written_back[i]
-                ue_row = decision.uncorrectable[i]
+                row = decision.row(i)
+                if verifier_armed:
+                    self._charge_visit(idx2[i], error_counts[i], row)
+                self._settle_visit(
+                    float(times[i]), int(regions[i]), idx2[i], error_counts[i], row
+                )
 
-                if self._verifier.enabled:
-                    stats.record_reads(idx.size)
-                    if has_detector:
-                        stats.record_detects(idx.size)
-                    stats.record_decodes(int(decoded_counts[i]))
-                    stats.record_error_counts(row_counts[decoded_row])
-                    stats.detector_misses += int(decision.missed[i].sum())
-
-                ue_idx = idx[ue_row]
-                if ue_idx.size:
-                    stats.uncorrectable += ue_idx.size
-                    if tracer.enabled:
-                        tracer.emit(
-                            "uncorrectable",
-                            time,
-                            region=region,
-                            count=int(ue_idx.size),
-                        )
-                    population.rewrite(
-                        ue_idx,
-                        self._times_filled(ue_idx.size, time),
-                        data_changed=True,
-                    )
-
-                partial_cells_visit: int | None = None
-                wb_idx = idx[wb_row]
-                if wb_idx.size:
-                    if partial:
-                        cells = population.partial_rewrite(wb_idx, time)
-                        partial_cells_visit = int(cells.sum())
-                        stats.record_partial_scrub_writes(
-                            wb_idx.size, partial_cells_visit
-                        )
-                    else:
-                        stats.record_scrub_writes(wb_idx.size)
-                        population.rewrite(
-                            wb_idx,
-                            self._times_filled(wb_idx.size, time),
-                            data_changed=False,
-                        )
-                elif partial:
-                    partial_cells_visit = 0
-
-                retired_visit = 0
-                if self.retire_hard_limit is not None:
-                    stuck = population.stuck_counts(idx)
-                    retire_idx = idx[stuck >= self.retire_hard_limit]
-                    if retire_idx.size:
-                        requested = int(retire_idx.size)
-                        if self.spare_pool is not None:
-                            grant = self.spare_pool.request(region, requested)
-                            retire_idx = retire_idx[:grant]
-                            if tracer.enabled:
-                                tracer.emit(
-                                    "spare_allocated",
-                                    time,
-                                    region=region,
-                                    requested=requested,
-                                    granted=int(grant),
-                                )
-                        if retire_idx.size:
-                            retired_visit = int(retire_idx.size)
-                            stats.retired += retire_idx.size
-                            if tracer.enabled:
-                                tracer.emit(
-                                    "retire",
-                                    time,
-                                    region=region,
-                                    count=int(retire_idx.size),
-                                )
-                            population.retire(retire_idx, time)
-
-                if tracer.enabled:
-                    tracer.emit(
-                        "scrub_visit",
-                        time,
-                        region=region,
-                        lines=int(idx.size),
-                        errors=int(row_counts.sum()),
-                        max_errors=(
-                            int(row_counts.max()) if row_counts.size else 0
-                        ),
-                        decoded=int(decoded_counts[i]),
-                        written_back=int(wb_row.sum()),
-                        uncorrectable=int(ue_row.sum()),
-                        next_interval=float(decision.next_intervals[i]),
-                    )
-
-                if self._verifier.enabled:
-                    capped = np.minimum(row_counts, hist_cap)
-                    resolved_mask = wb_row | ue_row
-                    observed = int(capped[decoded_row].sum())
-                    resolved = int(capped[decoded_row & resolved_mask].sum())
-                    pending = int(capped[decoded_row & ~resolved_mask].sum())
-                    self._verifier.check_visit(
-                        time=time,
-                        region=region,
-                        visited=int(idx.size),
-                        detected=int(idx.size) if has_detector else 0,
-                        decoded=int(decoded_counts[i]),
-                        written_back=int(wb_row.sum()),
-                        partial_cells=partial_cells_visit,
-                        uncorrectable=int(ue_idx.size),
-                        missed=int(decision.missed[i].sum()),
-                        retired=retired_visit,
-                        errors_observed=observed,
-                        errors_resolved=resolved,
-                        errors_pending=pending,
-                    )
-
-            self._last_visit.reshape(self.num_regions, lines_per_region)[
+            self._last_visit.reshape(self.num_regions, self.region_size)[
                 regions
             ] = times[:, None]
-            return decision.next_intervals
-
-    def _stacked_scalar_visits(
-        self,
-        times: np.ndarray,
-        regions: np.ndarray,
-        error_counts: np.ndarray,
-        engine_rng: np.random.Generator,
-    ) -> BatchVisitDecision:
-        """Row-by-row scalar decisions for policies that don't opt in.
-
-        Each row calls the policy's scalar :meth:`visit` with the cohort's
-        per-region time and counts, in row order - exactly the calls (and
-        engine-stream draws) the scalar walk would make.
-        """
-        decisions = [
-            self.policy.visit(
-                float(times[i]), int(regions[i]), error_counts[i], engine_rng
-            )
-            for i in range(regions.shape[0])
-        ]
-        return BatchVisitDecision(
-            decoded=np.stack([d.decoded for d in decisions]),
-            written_back=np.stack([d.written_back for d in decisions]),
-            uncorrectable=np.stack([d.uncorrectable for d in decisions]),
-            missed=np.stack([d.missed for d in decisions]),
-            next_intervals=np.array([d.next_interval for d in decisions]),
-        )
 
     def _apply_demand_batch(
         self,
@@ -591,7 +345,7 @@ class BatchPopulationEngine(PopulationEngine):
         idx2: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        """Poisson demand for the whole cohort in two workload-stream fills.
+        """Poisson demand for the whole round in two workload-stream fills.
 
         Regions that never carry demand draw nothing (matching the scalar
         early return).  With one active region the draws are bitwise the

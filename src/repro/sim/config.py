@@ -8,6 +8,7 @@ Keeping it a frozen dataclass makes sweeps trivial
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .. import units
@@ -77,13 +78,13 @@ class SimulationConfig:
     fast_forward: bool = True
     #: Which visit engine drives the run: ``"scalar"`` walks regions one
     #: visit at a time (the reference oracle); ``"batch"`` processes whole
-    #: scheduler cohorts — and, for static uniform-interval policies, whole
-    #: device rounds — as single array ops
+    #: device rounds of static uniform-interval policies as single array
+    #: ops and runs every other policy on the scalar walk
     #: (:class:`repro.sim.batch.BatchPopulationEngine`).  Bit-identical to
     #: scalar wherever RNG draw order is preserved (idle workloads,
-    #: single-region runs, per-tick cohorts); statistically equivalent
-    #: (gated by ``pcm-scrub verify``) where batching demand traffic across
-    #: regions reorders draws.  See docs/performance.md.
+    #: single-region runs, steered-interval policies); statistically
+    #: equivalent (gated by ``pcm-scrub verify``) where batching demand
+    #: traffic across regions reorders draws.  See docs/performance.md.
     engine: str = "scalar"
 
     def __post_init__(self) -> None:
@@ -91,10 +92,15 @@ class SimulationConfig:
             raise ValueError("num_lines must be positive")
         if self.region_size <= 0 or self.num_lines % self.region_size:
             raise ValueError("region_size must divide num_lines")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.temperature_k <= 0:
-            raise ValueError("temperature_k must be positive kelvin")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be positive and finite seconds, got {self.horizon!r}"
+            )
+        if not (math.isfinite(self.temperature_k) and self.temperature_k > 0):
+            raise ValueError(
+                "temperature_k must be positive and finite kelvin, "
+                f"got {self.temperature_k!r}"
+            )
         if self.keep <= 8:
             raise ValueError("keep must exceed the strongest ECC strength")
         if self.spares_per_region is not None and self.spares_per_region < 0:

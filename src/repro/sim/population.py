@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.policy import ScrubPolicy
+from ..core.policy import ScrubPolicy, VisitDecision
 from ..core.scheduler import ScrubScheduler
 from ..core.stats import ScrubStats
 from ..obs.profile import NULL_PROFILER
@@ -152,7 +152,7 @@ class LinePopulation:
 
         ``idx`` may be any integer index shape; the result matches it.  A
         2-D ``(regions, region_size)`` block with a per-region ``now``
-        array evaluates a whole visit cohort in one comparison.
+        array evaluates a whole device round in one comparison.
         """
         rows = self.crossing[idx]
         now = np.asarray(now, dtype=np.float64)
@@ -579,14 +579,22 @@ class PopulationEngine:
             # down for the whole run.
             self._note_fast_forward_disabled("read_refresh", 0.0)
             ff_active = False
+        self._ff_active = self._prepare_loop(ff_active)
+
+    def _prepare_loop(self, ff_active: bool) -> bool:
+        """The visit loop's own setup; returns whether fast-forward is armed.
+
+        The scalar walk arms per-region fast-forward as offered and builds
+        the scheduler unless a snapshot restore already provided one.
+        """
         if ff_active:
             self.population.enable_region_tracking(self.region_size)
-        self._ff_active = ff_active
         if self._scheduler is None:
             self._scheduler = ScrubScheduler(
                 self.num_regions,
                 [self.policy.initial_interval(r) for r in range(self.num_regions)],
             )
+        return ff_active
 
     def simulate(self, budget: int | None = None) -> ScrubStats:
         """Simulate to the horizon and return the (shared) stats ledger.
@@ -758,7 +766,6 @@ class PopulationEngine:
         workload_rng: np.random.Generator,
     ) -> float:
         profiler = self._profiler
-        tracer = self._tracer
         with profiler.span("visit"):
             idx = self.region_lines(region)
             with profiler.span("demand"):
@@ -770,121 +777,143 @@ class PopulationEngine:
             with profiler.span("decode"):
                 decision = self.policy.visit(time, region, error_counts, engine_rng)
 
-            # Accounting: every visited line is read; detector-equipped schemes
-            # check every line; the decoder runs only where the policy engaged it.
-            self.stats.record_reads(idx.size)
-            if self.policy.scheme.has_detector:
-                self.stats.record_detects(idx.size)
-            num_decoded = int(decision.decoded.sum())
-            self.stats.record_decodes(num_decoded)
-            self.stats.record_error_counts(error_counts[decision.decoded])
-            self.stats.detector_misses += int(decision.missed.sum())
-
-            # Uncorrectable lines: record, then recover (the OS reloads the
-            # page); recovery is a data-changing write outside the scrub budget.
-            ue_idx = idx[decision.uncorrectable]
-            if ue_idx.size:
-                self.stats.uncorrectable += ue_idx.size
-                if tracer.enabled:
-                    tracer.emit(
-                        "uncorrectable", time, region=region, count=int(ue_idx.size)
-                    )
-                self.population.rewrite(
-                    ue_idx, self._times_filled(ue_idx.size, time), data_changed=True
-                )
-
-            # Write-backs: the scrub-cost metric the paper minimizes.
-            partial_cells_visit: int | None = None
-            wb_idx = idx[decision.written_back]
-            if wb_idx.size:
-                if getattr(self.policy, "partial_writeback", False):
-                    cells = self.population.partial_rewrite(wb_idx, time)
-                    partial_cells_visit = int(cells.sum())
-                    self.stats.record_partial_scrub_writes(
-                        wb_idx.size, partial_cells_visit
-                    )
-                else:
-                    self.stats.record_scrub_writes(wb_idx.size)
-                    self.population.rewrite(
-                        wb_idx,
-                        self._times_filled(wb_idx.size, time),
-                        data_changed=False,
-                    )
-            elif getattr(self.policy, "partial_writeback", False):
-                partial_cells_visit = 0
-
-            retired_visit = 0
-            if self.retire_hard_limit is not None:
-                stuck = self.population.stuck_counts(idx)
-                retire_idx = idx[stuck >= self.retire_hard_limit]
-                if retire_idx.size:
-                    requested = int(retire_idx.size)
-                    if self.spare_pool is not None:
-                        grant = self.spare_pool.request(region, requested)
-                        retire_idx = retire_idx[:grant]
-                        if tracer.enabled:
-                            tracer.emit(
-                                "spare_allocated",
-                                time,
-                                region=region,
-                                requested=requested,
-                                granted=int(grant),
-                            )
-                    if retire_idx.size:
-                        retired_visit = int(retire_idx.size)
-                        self.stats.retired += retire_idx.size
-                        if tracer.enabled:
-                            tracer.emit(
-                                "retire",
-                                time,
-                                region=region,
-                                count=int(retire_idx.size),
-                            )
-                        self.population.retire(retire_idx, time)
-
-            if tracer.enabled:
-                tracer.emit(
-                    "scrub_visit",
-                    time,
-                    region=region,
-                    lines=int(idx.size),
-                    errors=int(error_counts.sum()),
-                    max_errors=int(error_counts.max()) if error_counts.size else 0,
-                    decoded=num_decoded,
-                    written_back=int(decision.written_back.sum()),
-                    uncorrectable=int(decision.uncorrectable.sum()),
-                    next_interval=float(decision.next_interval),
-                )
-
-            if self._verifier.enabled:
-                # The checker re-derives every ledger counter from these
-                # decision counts; the error mass uses the histogram's cap
-                # so it matches what ``record_error_counts`` folded in.
-                capped = np.minimum(
-                    error_counts, self.stats.error_histogram.size - 1
-                )
-                resolved_mask = decision.written_back | decision.uncorrectable
-                observed = int(capped[decision.decoded].sum())
-                resolved = int(capped[decision.decoded & resolved_mask].sum())
-                pending = int(capped[decision.decoded & ~resolved_mask].sum())
-                self._verifier.check_visit(
-                    time=time,
-                    region=region,
-                    visited=int(idx.size),
-                    detected=int(idx.size) if self.policy.scheme.has_detector else 0,
-                    decoded=num_decoded,
-                    written_back=int(decision.written_back.sum()),
-                    partial_cells=partial_cells_visit,
-                    uncorrectable=int(ue_idx.size),
-                    missed=int(decision.missed.sum()),
-                    retired=retired_visit,
-                    errors_observed=observed,
-                    errors_resolved=resolved,
-                    errors_pending=pending,
-                )
-
+            self._charge_visit(idx, error_counts, decision)
+            self._settle_visit(time, region, idx, error_counts, decision)
             self._last_visit[idx] = time
             return decision.next_interval
+
+    def _charge_visit(
+        self, idx: np.ndarray, error_counts: np.ndarray, decision: VisitDecision
+    ) -> None:
+        """Charge one visit's reads, detector checks and decodes.
+
+        Every visited line is read; detector-equipped schemes check every
+        line; the decoder runs only where the policy engaged it.
+        """
+        stats = self.stats
+        stats.record_reads(idx.size)
+        if self.policy.scheme.has_detector:
+            stats.record_detects(idx.size)
+        stats.record_decodes(int(decision.decoded.sum()))
+        stats.record_error_counts(error_counts[decision.decoded])
+        stats.detector_misses += int(decision.missed.sum())
+
+    def _settle_visit(
+        self,
+        time: float,
+        region: int,
+        idx: np.ndarray,
+        error_counts: np.ndarray,
+        decision: VisitDecision,
+    ) -> None:
+        """Apply what one visit decision does to the population and ledger.
+
+        UE recovery, write-backs (full or partial), retirement with spare
+        grants, the ``scrub_visit`` trace record and the invariant check,
+        in that order - the one settlement both visit loops share, so the
+        population stream and the scrub-write ledger advance identically
+        whichever loop decided the visit.
+        """
+        tracer = self._tracer
+        stats = self.stats
+        population = self.population
+
+        # Uncorrectable lines: record, then recover (the OS reloads the
+        # page); recovery is a data-changing write outside the scrub budget.
+        ue_idx = idx[decision.uncorrectable]
+        if ue_idx.size:
+            stats.uncorrectable += ue_idx.size
+            if tracer.enabled:
+                tracer.emit(
+                    "uncorrectable", time, region=region, count=int(ue_idx.size)
+                )
+            population.rewrite(
+                ue_idx, self._times_filled(ue_idx.size, time), data_changed=True
+            )
+
+        # Write-backs: the scrub-cost metric the paper minimizes.
+        partial = getattr(self.policy, "partial_writeback", False)
+        partial_cells_visit: int | None = None
+        wb_idx = idx[decision.written_back]
+        if wb_idx.size:
+            if partial:
+                cells = population.partial_rewrite(wb_idx, time)
+                partial_cells_visit = int(cells.sum())
+                stats.record_partial_scrub_writes(wb_idx.size, partial_cells_visit)
+            else:
+                stats.record_scrub_writes(wb_idx.size)
+                population.rewrite(
+                    wb_idx,
+                    self._times_filled(wb_idx.size, time),
+                    data_changed=False,
+                )
+        elif partial:
+            partial_cells_visit = 0
+
+        retired_visit = 0
+        if self.retire_hard_limit is not None:
+            stuck = population.stuck_counts(idx)
+            retire_idx = idx[stuck >= self.retire_hard_limit]
+            if retire_idx.size:
+                requested = int(retire_idx.size)
+                if self.spare_pool is not None:
+                    grant = self.spare_pool.request(region, requested)
+                    retire_idx = retire_idx[:grant]
+                    if tracer.enabled:
+                        tracer.emit(
+                            "spare_allocated",
+                            time,
+                            region=region,
+                            requested=requested,
+                            granted=int(grant),
+                        )
+                if retire_idx.size:
+                    retired_visit = int(retire_idx.size)
+                    stats.retired += retire_idx.size
+                    if tracer.enabled:
+                        tracer.emit(
+                            "retire", time, region=region, count=retired_visit
+                        )
+                    population.retire(retire_idx, time)
+
+        if tracer.enabled:
+            tracer.emit(
+                "scrub_visit",
+                time,
+                region=region,
+                lines=int(idx.size),
+                errors=int(error_counts.sum()),
+                max_errors=int(error_counts.max()) if error_counts.size else 0,
+                decoded=int(decision.decoded.sum()),
+                written_back=int(decision.written_back.sum()),
+                uncorrectable=int(decision.uncorrectable.sum()),
+                next_interval=float(decision.next_interval),
+            )
+
+        if self._verifier.enabled:
+            # The checker re-derives every ledger counter from these
+            # decision counts; the error mass uses the histogram's cap
+            # so it matches what ``record_error_counts`` folded in.
+            capped = np.minimum(error_counts, stats.error_histogram.size - 1)
+            resolved_mask = decision.written_back | decision.uncorrectable
+            observed = int(capped[decision.decoded].sum())
+            resolved = int(capped[decision.decoded & resolved_mask].sum())
+            pending = int(capped[decision.decoded & ~resolved_mask].sum())
+            self._verifier.check_visit(
+                time=time,
+                region=region,
+                visited=int(idx.size),
+                detected=int(idx.size) if self.policy.scheme.has_detector else 0,
+                decoded=int(decision.decoded.sum()),
+                written_back=int(decision.written_back.sum()),
+                partial_cells=partial_cells_visit,
+                uncorrectable=int(ue_idx.size),
+                missed=int(decision.missed.sum()),
+                retired=retired_visit,
+                errors_observed=observed,
+                errors_resolved=resolved,
+                errors_pending=pending,
+            )
 
     def _apply_demand(
         self,

@@ -162,7 +162,9 @@ class EngineSnapshot:
 
     @staticmethod
     def _batch_mode(engine: PopulationEngine) -> str:
-        """Which loop drives the run: heap scheduler or round clock."""
+        """Which loop drives the run: the batch engine's round clock, or
+        the heap scheduler of the scalar walk (which the batch engine also
+        takes for policies without a batch interval)."""
         if engine.engine_mode == "batch" and engine.policy.batch_interval() is not None:
             return "rounds"
         return "heap"

@@ -419,16 +419,17 @@ def batch_identity(
 
     The batch engine's draw-order contract
     (:mod:`repro.sim.batch`): wherever batching preserves each RNG
-    stream's draw order, whole-cohort evaluation must not move a single
+    stream's draw order, whole-round evaluation must not move a single
     bit of any measured quantity.  Each case runs twice on the same seed —
     ``engine="batch"`` vs ``engine="scalar"`` — across the domains the
     contract covers: multi-region idle devices for decode-all, detector,
     and partial policies (round mode, including the batched detector
-    fill), a scheduler-driven adaptive policy under demand (cohort mode),
-    and a single-region device under demand (round mode with workload
-    draws).  Multi-region demand in round mode is deliberately absent:
-    batching reorders the workload stream there, and that regime is
-    gated by the ``batch_vs_scalar`` equivalence band instead.
+    fill), a scheduler-driven adaptive policy under demand (no batch
+    interval, so the batch engine's scalar-walk fallback), and a
+    single-region device under demand (round mode with workload draws).
+    Multi-region demand in round mode is deliberately absent: batching
+    reorders the workload stream there, and that regime is gated by the
+    ``batch_vs_scalar`` equivalence band instead.
     """
     base = _base_config(seed, quick)
     multi = replace(base, region_size=base.region_size // 8)

@@ -153,6 +153,21 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="device 0 is malformed"):
             device_records(path, devices)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", "x"), ("summary", [1, 2])]
+    )
+    def test_malformed_value_names_its_field(self, tmp_path, field, value):
+        record = DeviceRecord(
+            index=3, lot="a", seed=1, temperature_k=300.0, nu_mu_scale=1.0,
+            nu_sigma_scale=1.0, endurance_mean=None,
+        ).to_dict()
+        path = journal_with(tmp_path, [{**record, field: value}])
+        _, devices = load_journal(path, expected_hash=HASH)
+        with pytest.raises(
+            CheckpointError, match=f"device 3 is malformed: field '{field}'"
+        ):
+            device_records(path, devices)
+
     def test_undecodable_bytes_raise_checkpoint_error(self, tmp_path):
         path = journal_with(tmp_path, [])
         with open(path, "ab") as handle:

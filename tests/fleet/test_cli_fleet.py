@@ -97,3 +97,20 @@ class TestFleetCommand:
         missing = tmp_path / "nope.json"
         with pytest.raises((SystemExit, FileNotFoundError, ValueError)):
             main(["fleet", str(missing)])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet"], ["submit", "{root}"], ["provision-fleet"]],
+    )
+    def test_malformed_spec_exits_naming_the_field(
+        self, spec_path, tmp_path, command
+    ):
+        spec = json.loads(spec_path.read_text())
+        spec["devices"] = 2.7
+        spec_path.write_text(json.dumps(spec))
+        name, *rest = command
+        rest = [arg.format(root=tmp_path / "campaign") for arg in rest]
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, str(spec_path), *rest])
+        assert str(exit_info.value).startswith("pcm-scrub: fleet spec field devices")
+

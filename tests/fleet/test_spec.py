@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.fleet import FleetSpec, Lot, LotParameter
@@ -340,3 +344,104 @@ class TestLotPolicies:
             assert plain.device_spec(index).config == (
                 tuned.device_spec(index).config
             )
+
+
+SMOKE_SPEC = json.loads(
+    (Path(__file__).resolve().parents[2] / "examples/specs/fleet_smoke.json").read_text()
+)
+
+#: Arbitrary JSON values, non-finite floats included (``json`` reads
+#: ``NaN``/``Infinity``).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+#: Every field the format defines, addressed as (lot index or None, block,
+#: key): top-level keys, config keys (the ``horizon_days`` alias
+#: included), and each smoke lot's keys.
+SPEC_FIELDS = (
+    [(None, None, key) for key in make_spec().to_dict()]
+    + [(None, "config", key) for key in make_spec().to_dict()["config"]]
+    + [(None, "config", "horizon_days")]
+    + [
+        (index, "lots", key)
+        for index in range(len(SMOKE_SPEC["lots"]))
+        for key in (
+            "name", "weight", "nu_mu_scale", "nu_sigma_scale", "temperature_k",
+            "endurance_mean", "policy", "policy_kwargs",
+        )
+    ]
+)
+
+
+def smoke_with(index, block, key, value) -> dict:
+    data = copy.deepcopy(SMOKE_SPEC)
+    target = data if block is None else data[block]
+    target = target if index is None else target[index]
+    target[key] = value
+    return data
+
+
+#: Malformed specs, each with the field its error must name.
+MALFORMED_CASES = [
+    (lambda data: data.clear(), "name"),
+    (lambda data: data.update(config=5), "config"),
+    (lambda data: data.update(lots=[5]), "lots[0]"),
+    (lambda data: data.update(lots=[]), "lots"),
+    (lambda data: data.update(policy_kwargs=[1]), "policy_kwargs"),
+    (lambda data: data["config"].update(obs=5), "config.obs"),
+    (lambda data: data.update(devices=2.7), "devices"),
+    (lambda data: data.update(devices=2**60), "devices"),
+    (lambda data: data.update(capacity_gib_per_device=float("nan")),
+     "capacity_gib_per_device"),
+    (lambda data: data.update(demand_write_rate=float("inf")),
+     "demand_write_rate"),
+    (lambda data: data["lots"][0].update(weight=float("nan")),
+     "lots[0].weight"),
+    (lambda data: data["lots"][1]["temperature_k"].update(
+        spread=float("inf")), "lots[1].temperature_k.spread"),
+    (lambda data: data["config"].update(seed="x"), "config.seed"),
+    (lambda data: data["config"].update(seed=-1), "config.seed"),
+    (lambda data: data["config"].update(horizon_days=1e305),
+     "config.horizon_days"),
+    (lambda data: data["lots"][0].update(nonesuch=1), "nonesuch"),
+]
+
+
+class TestMalformedJson:
+    """``from_dict`` either loads a usable spec or names the bad field."""
+
+    @pytest.mark.parametrize(
+        "mutation, field", MALFORMED_CASES, ids=[field for _, field in MALFORMED_CASES]
+    )
+    def test_reproduced_cases_name_the_field(self, mutation, field):
+        data = copy.deepcopy(SMOKE_SPEC)
+        mutation(data)
+        with pytest.raises(ValueError) as error:
+            FleetSpec.from_dict(data)
+        assert field in str(error.value)
+
+    def test_integral_float_device_count_loads(self):
+        data = copy.deepcopy(SMOKE_SPEC)
+        data["devices"] = float(data["devices"])
+        spec = FleetSpec.from_dict(data)
+        assert spec.content_hash() == FleetSpec.from_dict(SMOKE_SPEC).content_hash()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(address=st.sampled_from(SPEC_FIELDS), value=JSON_VALUES)
+    def test_any_field_value_loads_or_names_the_field(self, address, value):
+        index, block, key = address
+        data = json.loads(json.dumps(smoke_with(index, block, key, value)))
+        try:
+            spec = FleetSpec.from_dict(data)
+        except ValueError as error:
+            assert key in str(error)
+            return
+        spec.device_spec(0)
+        spec.device_spec(spec.devices - 1)
+        spec.content_hash()
+

@@ -2,12 +2,13 @@
 
 The batch engine's contract (:mod:`repro.sim.batch`) has two regimes:
 wherever batching preserves each RNG stream's draw order — idle devices,
-single-region devices, scheduler-cohort mode — every stat, joule, and
-histogram bucket must match the scalar engine bit for bit; multi-region
-demand in round mode reorders the workload stream and is held to a
-statistical band instead.  These tests pin both, plus the interactions
-(fast-forward, invariants, tracing, process pools) and the supporting
-bulk-ledger machinery.
+single-region devices — every stat, joule, and histogram bucket must
+match the scalar engine bit for bit; multi-region demand in round mode
+reorders the workload stream and is held to a statistical band instead.
+Policies without a uniform static cadence (adaptive, combined) never
+batch: they run on the scalar walk itself.  These tests pin all three,
+plus the interactions (fast-forward, invariants, tracing, process pools)
+and the supporting bulk-ledger machinery.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.sim import (
     run_experiment,
     run_many,
 )
+from repro.sim.parallel import POLICY_FACTORIES
 from repro.verify.invariants import VerifyConfig
 from repro.workloads.generators import uniform_rates
 
@@ -135,9 +137,8 @@ class TestRoundModeIdentity:
 
 
 class TestCohortModeIdentity:
-    """Scheduler-driven policies are identical under any workload: tied
-    cohorts batch only when draw-order-neutral (idle), and fall back to
-    member-at-a-time processing when they carry demand."""
+    """Scheduler-driven policies are identical under any workload: with
+    no batch interval, ``engine="batch"`` falls back to the scalar walk."""
 
     def test_adaptive_idle_multi_region(self):
         batch, scalar = run_engines(
@@ -156,6 +157,32 @@ class TestCohortModeIdentity:
             lambda: combined_scrub(2 * units.HOUR), MULTI, busy_rates()
         )
         assert_identical(batch, scalar)
+
+
+class TestScalarFallback:
+    """Only round mode batches; every other policy takes the scalar walk."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: adaptive_scrub(2 * units.HOUR, 3),
+         lambda: combined_scrub(2 * units.HOUR)],
+        ids=["adaptive", "combined"],
+    )
+    def test_scheduler_policies_never_batch(self, factory, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("steered-interval policy entered a batched visit")
+
+        monkeypatch.setattr(BatchPopulationEngine, "_process_cohort", refuse)
+        result = run_experiment(
+            factory(), dataclasses.replace(MULTI, engine="batch"), busy_rates()
+        )
+        assert result.stats.visits > 0
+
+    @pytest.mark.parametrize("name", sorted(POLICY_FACTORIES))
+    def test_batch_interval_implies_visit_batch(self, name):
+        policy = POLICY_FACTORIES[name](interval=2 * units.HOUR)
+        if policy.batch_interval() is not None:
+            assert callable(getattr(policy, "visit_batch", None))
 
 
 class TestRoundModeBand:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import units
+from repro.core import basic_scrub
 from repro.sim.config import SimulationConfig
 
 
@@ -44,3 +48,23 @@ class TestValidation:
     def test_positive_lines(self):
         with pytest.raises(ValueError):
             SimulationConfig(num_lines=0, region_size=1)
+
+
+#: The run inputs that reach the event loop as floats, each built alone.
+RUN_INPUTS = {
+    "horizon": lambda value: SimulationConfig(horizon=value),
+    "temperature_k": lambda value: SimulationConfig(temperature_k=value),
+    "interval": basic_scrub,
+}
+
+
+class TestNonFiniteInputs:
+    @given(field=st.sampled_from(sorted(RUN_INPUTS)), value=st.floats())
+    def test_positive_finite_or_value_error_naming_the_field(self, field, value):
+        build = RUN_INPUTS[field]
+        if math.isfinite(value) and value > 0:
+            build(value)
+        else:
+            with pytest.raises(ValueError, match=field):
+                build(value)
+

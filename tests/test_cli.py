@@ -135,3 +135,28 @@ class TestObservability:
         assert cell.startswith("n/a")
         assert "96.5%" in cell
         assert _reduction_cell(lambda: 0.5, "96.5%") == "50.0% reduction (paper: 96.5%)"
+
+
+class TestBadGlobalFlags:
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--horizon-days", "nan"], "horizon"),
+            (["--horizon-days", "inf"], "horizon"),
+            (["--temperature", "nan"], "temperature_k"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep", "--intervals", "3600"], ["trace", "--samples", "4"]],
+    )
+    def test_non_finite_flag_exits_naming_it(self, flags, field, command, tmp_path):
+        out = ["--out", str(tmp_path)] if command[0] == "trace" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--lines", "512", *flags, *command, *out])
+        assert str(exit_info.value).startswith(f"pcm-scrub: {field}")
+
+    def test_non_finite_interval_raises(self):
+        with pytest.raises(ValueError, match="interval"):
+            main([*FAST, "--jobs", "1", "sweep", "--intervals", "nan"])
+
