@@ -34,9 +34,14 @@ from ..obs.trace import NULL_TRACER, Tracer
 
 @dataclass(frozen=True)
 class VisitDecision:
-    """What the scrub hardware did for one region visit.
+    """What the scrub hardware did for one region visit, or a device round.
 
-    All masks are boolean arrays over the visited region's lines.
+    For one visit, the masks are boolean arrays over the visited region's
+    lines and ``next_interval`` is one number.  For a device round (the
+    batch engine's ``visit_batch``), the masks are ``(regions,
+    region_size)`` arrays and ``next_interval`` holds one interval per
+    row: row ``i`` (:meth:`row`) is the one-visit decision for the round's
+    ``i``-th region.
     """
 
     #: Lines that ran the full ECC decoder.
@@ -47,60 +52,30 @@ class VisitDecision:
     uncorrectable: np.ndarray
     #: Lines whose errors went unnoticed (detector miss); state untouched.
     missed: np.ndarray
-    #: Seconds until this region's next scrub pass.
-    next_interval: float
+    #: Seconds until the region's next scrub pass (one per row for a round).
+    next_interval: float | np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.decoded.shape[0]
+        shape = self.decoded.shape
         for name in ("written_back", "uncorrectable", "missed"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"mask {name} length mismatch")
-        if self.next_interval <= 0:
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"mask {name} shape mismatch")
+        interval = np.asarray(self.next_interval)
+        if interval.shape != shape[:-1]:
+            raise ValueError("next_interval must have one entry per visit")
+        # One visit compares a Python float: a numpy reduction over a 0-d
+        # array would cost more than the rest of the scalar walk's check.
+        if (interval <= 0).any() if interval.ndim else float(interval) <= 0:
             raise ValueError("next_interval must be positive")
         if bool((self.written_back & self.uncorrectable).any()):
             raise ValueError("a line cannot be both written back and uncorrectable")
 
-
-@dataclass(frozen=True)
-class BatchVisitDecision:
-    """What the scrub hardware did for a whole device round of region visits.
-
-    The vectorized counterpart of :class:`VisitDecision`: all masks are
-    boolean ``(regions, region_size)`` arrays, row ``i`` describing the
-    round's ``i``-th region exactly as the scalar decision's masks would.
-    """
-
-    #: Lines that ran the full ECC decoder.
-    decoded: np.ndarray
-    #: Lines written back (correctable lines only).
-    written_back: np.ndarray
-    #: Lines whose decode failed (error count exceeded correction strength).
-    uncorrectable: np.ndarray
-    #: Lines whose errors went unnoticed (detector miss); state untouched.
-    missed: np.ndarray
-    #: Seconds until each region's next scrub pass, shape ``(regions,)``.
-    next_intervals: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = self.decoded.shape
-        if len(shape) != 2:
-            raise ValueError("batch decision masks must be 2-D")
-        for name in ("written_back", "uncorrectable", "missed"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"mask {name} shape mismatch")
-        if self.next_intervals.shape != (shape[0],):
-            raise ValueError("next_intervals must have one entry per region")
-        if bool((self.next_intervals <= 0).any()):
-            raise ValueError("next_intervals must be positive")
-        if bool((self.written_back & self.uncorrectable).any()):
-            raise ValueError("a line cannot be both written back and uncorrectable")
-
     def row(self, i: int) -> VisitDecision:
-        """Row ``i`` as the scalar decision for that region's visit.
+        """Row ``i`` of a round decision, as that region's visit decision.
 
-        Built without re-running :class:`VisitDecision`'s checks: this
-        decision already passed the same checks for every row, and the
-        engine asks for a row per region with consequences.
+        Built without re-running the checks: this decision already passed
+        them for every row, and the engine asks for a row per region with
+        consequences.
         """
         row = object.__new__(VisitDecision)
         row.__dict__.update(
@@ -108,7 +83,7 @@ class BatchVisitDecision:
             written_back=self.written_back[i],
             uncorrectable=self.uncorrectable[i],
             missed=self.missed[i],
-            next_interval=float(self.next_intervals[i]),
+            next_interval=float(self.next_interval[i]),
         )
         return row
 
@@ -164,12 +139,13 @@ class ScrubPolicy(ABC):
         The engine then replays whole device rounds (all regions, in the
         scheduler's stagger order), each decided in one call to the
         policy's ``visit_batch(times, regions, error_counts, rng)``, which a
-        policy returning an interval must implement: row ``i`` of its
-        :class:`BatchVisitDecision` is what :meth:`visit` would decide for
-        ``regions[i]`` at ``times[i]``, with any randomness drawn as the
-        scalar walk draws it for those visits in row order.  Policies that
-        steer per-region intervals (the default) return ``None``; the batch
-        engine runs them on the scalar walk.
+        policy returning an interval must implement.  It returns a round
+        :class:`VisitDecision` (2-D masks, one interval per row) whose row
+        ``i`` is what :meth:`visit` would decide for ``regions[i]`` at
+        ``times[i]``, with any randomness drawn as the scalar walk draws it
+        for those visits in row order.  Policies that steer per-region
+        intervals (the default) return ``None``; the batch engine runs them
+        on the scalar walk.
         """
         return None
 
@@ -214,29 +190,15 @@ class ScrubPolicy(ABC):
     def _detect(
         self, error_counts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the lightweight detector.
+        """Apply the lightweight detector to one visit or a device round.
 
         Returns ``(flagged, missed)``: lines the CRC flagged for decode, and
         erroneous lines the CRC failed to flag (aliasing), respectively.
-        Schemes without a detector flag everything (decode-all).
-        """
-        has_error = error_counts > 0
-        if not self.scheme.has_detector:
-            return np.ones_like(has_error, dtype=bool), np.zeros_like(has_error)
-        miss_probability = 2.0 ** (-self.scheme.detector_bits)
-        missed = has_error & (rng.random(error_counts.shape[0]) < miss_probability)
-        flagged = has_error & ~missed
-        return flagged, missed
-
-    def _detect_batch(
-        self, error_counts: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the detector to a ``(regions, region_size)`` device round.
-
-        One array fill covers the whole round; ``Generator.random`` fills
-        C-order element-sequentially, so the draw for row ``i`` is bitwise
-        the ``rng.random(region_size)`` the scalar :meth:`_detect` would
-        make for that visit, in the same order.
+        Schemes without a detector flag everything (decode-all).  The miss
+        draw is one fill of ``error_counts``' shape; ``Generator.random``
+        fills C-order element-sequentially, so row ``i`` of a
+        ``(regions, region_size)`` round draws bitwise what the visit to
+        that region would draw, in visit order.
         """
         has_error = error_counts > 0
         if not self.scheme.has_detector:

@@ -49,15 +49,18 @@ class ScrubStats:
 
     # -- recording helpers (engine-facing) -----------------------------------
 
-    def record_reads(self, count: int) -> None:
-        self.ledger.add("scrub_read", self.costs.read_energy, count)
-        self.visits += count
+    def record_reads(self, lines: int, visits: int = 1) -> None:
+        """Charge ``visits`` region scans reading ``lines`` lines each."""
+        self.ledger.add("scrub_read", self.costs.read_energy, lines, visits)
+        self.visits += lines * visits
 
-    def record_detects(self, count: int) -> None:
-        self.ledger.add("scrub_detect", self.costs.detect_energy, count)
+    def record_detects(self, lines: int, visits: int = 1) -> None:
+        """Charge ``visits`` detector passes over ``lines`` lines each."""
+        self.ledger.add("scrub_detect", self.costs.detect_energy, lines, visits)
 
-    def record_decodes(self, count: int) -> None:
-        self.ledger.add("scrub_decode", self.costs.decode_energy, count)
+    def record_decodes(self, count: int, visits: int = 1) -> None:
+        """Charge ``visits`` visits that each decoded ``count`` lines."""
+        self.ledger.add("scrub_decode", self.costs.decode_energy, count, visits)
 
     def record_scrub_writes(self, count: int) -> None:
         self.ledger.add("scrub_write", self.costs.write_energy, count)
@@ -85,61 +88,24 @@ class ScrubStats:
     ) -> None:
         """Charge ``visits`` consecutive error-free scans of ``lines`` lines.
 
-        The fast-forward bulk API.  Bit-identical to the per-visit path: a
-        zero-error visit reads and (with a detector) checks every line;
+        The fast-forward bulk charge.  Bit-identical to the per-visit path:
+        a zero-error visit reads and (with a detector) checks every line;
         detector-less schemes additionally decode every line and drop
         ``lines`` of mass into ``histogram[0]``, while detector-gated
         schemes decode nothing (their per-visit ``add(..., 0)`` adds
         ``+0.0`` joules, a bitwise no-op, so it is elided here).  Float
-        accumulators advance by iterated per-visit additions via
-        :meth:`~repro.pcm.energy.EnergyLedger.add_repeated`, never by one
-        fused term.
+        accumulators advance by one per-visit addition per visit
+        (:meth:`~repro.pcm.energy.EnergyLedger.add`'s ``repeats``), never by
+        one fused term.
         """
         if visits < 0 or lines < 0:
             raise ValueError("visits and lines must be >= 0")
-        self.ledger.add_repeated(
-            "scrub_read", self.costs.read_energy, lines, visits
-        )
-        self.visits += lines * visits
+        self.record_reads(lines, visits)
         if detector:
-            self.ledger.add_repeated(
-                "scrub_detect", self.costs.detect_energy, lines, visits
-            )
+            self.record_detects(lines, visits)
         if decode_all:
-            self.ledger.add_repeated(
-                "scrub_decode", self.costs.decode_energy, lines, visits
-            )
+            self.record_decodes(lines, visits)
             self.error_histogram[0] += lines * visits
-
-    # -- bulk recording (batch-engine-facing) --------------------------------
-
-    def record_reads_bulk(self, lines: int, visits: int) -> None:
-        """Charge ``visits`` region scans of ``lines`` lines each.
-
-        Bit-identical to ``visits`` successive :meth:`record_reads` calls:
-        the energy accumulator replays the per-visit additions
-        (:meth:`~repro.pcm.energy.EnergyLedger.add_repeated`).
-        """
-        if lines < 0 or visits < 0:
-            raise ValueError("lines and visits must be >= 0")
-        self.ledger.add_repeated("scrub_read", self.costs.read_energy, lines, visits)
-        self.visits += lines * visits
-
-    def record_detects_bulk(self, lines: int, visits: int) -> None:
-        """Charge ``visits`` detector passes over ``lines`` lines each."""
-        if lines < 0 or visits < 0:
-            raise ValueError("lines and visits must be >= 0")
-        self.ledger.add_repeated(
-            "scrub_detect", self.costs.detect_energy, lines, visits
-        )
-
-    def record_decodes_bulk(self, counts) -> None:
-        """Charge one visit's decode count per entry of ``counts``, in order.
-
-        Bit-identical to per-visit :meth:`record_decodes` calls in the same
-        order (:meth:`~repro.pcm.energy.EnergyLedger.add_sequence`).
-        """
-        self.ledger.add_sequence("scrub_decode", self.costs.decode_energy, counts)
 
     def record_error_counts(self, counts: np.ndarray) -> None:
         """Fold one visit's observed per-line error counts into the histogram."""

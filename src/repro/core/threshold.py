@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ecc.schemes import EccScheme, scheme_for_strength
-from .policy import BatchVisitDecision, ScrubPolicy, VisitDecision
+from .policy import ScrubPolicy, VisitDecision
 
 
 class ThresholdScrubPolicy(ScrubPolicy):
@@ -92,24 +92,15 @@ class ThresholdScrubPolicy(ScrubPolicy):
         regions: np.ndarray,
         error_counts: np.ndarray,
         rng: np.random.Generator,
-    ) -> BatchVisitDecision:
+    ) -> VisitDecision:
         """The threshold rule over a whole device round in one set of array ops.
 
-        Decision logic is identical to :meth:`visit` row by row; the
-        detector draw is one C-order fill over the round, which is
-        bitwise the scalar per-visit draws in visit order.
+        The same rule as :meth:`visit`, applied to ``(regions,
+        region_size)`` counts; the detector draw is one C-order fill over
+        the round, bitwise the scalar per-visit draws in visit order.
         """
-        flagged, missed = self._detect_batch(error_counts, rng)
-        decoded = flagged
-        uncorrectable = decoded & (error_counts > self.scheme.t)
-        correctable = decoded & ~uncorrectable
-        written_back = correctable & (error_counts >= self.threshold)
-        return BatchVisitDecision(
-            decoded=decoded,
-            written_back=written_back,
-            uncorrectable=uncorrectable,
-            missed=missed,
-            next_intervals=np.full(regions.shape[0], self.interval),
+        return self._decide(
+            error_counts, rng, np.full(regions.shape[0], self.interval)
         )
 
     def visit(
@@ -118,6 +109,14 @@ class ThresholdScrubPolicy(ScrubPolicy):
         region: int,
         error_counts: np.ndarray,
         rng: np.random.Generator,
+    ) -> VisitDecision:
+        return self._decide(error_counts, rng, self.interval)
+
+    def _decide(
+        self,
+        error_counts: np.ndarray,
+        rng: np.random.Generator,
+        next_interval: float | np.ndarray,
     ) -> VisitDecision:
         flagged, missed = self._detect(error_counts, rng)
         decoded = flagged
@@ -128,7 +127,7 @@ class ThresholdScrubPolicy(ScrubPolicy):
             written_back=written_back,
             uncorrectable=uncorrectable,
             missed=missed,
-            next_interval=self.interval,
+            next_interval=next_interval,
         )
 
 

@@ -106,26 +106,19 @@ class EnergyLedger:
         default_factory=lambda: {cat: 0.0 for cat in LEDGER_CATEGORIES}
     )
 
-    def add(self, category: str, energy_per_op: float, count: int = 1) -> None:
-        """Record ``count`` operations of ``category``."""
-        if category not in self.counts:
-            raise KeyError(f"unknown ledger category {category!r}")
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.counts[category] += count
-        self.energy[category] += energy_per_op * count
-
-    def add_repeated(
-        self, category: str, energy_per_op: float, count: int, repeats: int
+    def add(
+        self,
+        category: str,
+        energy_per_op: float,
+        count: int = 1,
+        repeats: int = 1,
     ) -> None:
-        """Record ``repeats`` separate :meth:`add` calls of the same shape.
+        """Record ``repeats`` visits' worth of ``count`` operations each.
 
-        Bit-identical to calling ``add(category, energy_per_op, count)``
-        ``repeats`` times: the float accumulator is advanced by the same
-        iterated additions rather than one fused ``repeats * count`` term,
-        which would round differently.  This is what lets the fast-forward
-        path charge a block of identical zero-error visits without
-        perturbing the energy ledger by a single ULP.
+        The energy accumulator advances by one ``energy_per_op * count``
+        addition per repeat - never one fused ``repeats * count`` term,
+        which would round differently - so a single call charging a block
+        of identical visits is bit-identical to one call per visit.
         """
         if category not in self.counts:
             raise KeyError(f"unknown ledger category {category!r}")
@@ -137,30 +130,6 @@ class EnergyLedger:
             energy += delta
         self.energy[category] = energy
         self.counts[category] += count * repeats
-
-    def add_sequence(
-        self, category: str, energy_per_op: float, counts
-    ) -> None:
-        """Record one :meth:`add` per entry of ``counts``, in order.
-
-        The batch engine's per-round bulk charge for categories whose
-        per-visit count varies (decodes): bit-identical to the
-        scalar walk's sequence of ``add(category, energy_per_op, c)`` calls
-        because the float accumulator is advanced by the same per-visit
-        additions in the same order, never by one fused dot product.
-        """
-        if category not in self.counts:
-            raise KeyError(f"unknown ledger category {category!r}")
-        total = 0
-        energy = self.energy[category]
-        for count in counts:
-            count = int(count)
-            if count < 0:
-                raise ValueError("counts must be >= 0")
-            energy += energy_per_op * count
-            total += count
-        self.energy[category] = energy
-        self.counts[category] += total
 
     def merge(self, other: "EnergyLedger") -> None:
         """Fold another ledger into this one."""

@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +85,54 @@ _THRESHOLD_POLICIES = frozenset({"threshold", "partial"})
 _INTERVAL_ONLY_POLICIES = frozenset({"basic"})
 
 
+# Field checks for candidates and candidate spaces, which may come from
+# JSON: each raises a ProvisionError naming the field (``name``).
+
+
+def _policy_name(value, name: str) -> None:
+    if not isinstance(value, str):
+        raise ProvisionError(f"{name} must be a policy name, got {value!r}")
+    if value not in POLICY_FACTORIES:
+        raise ProvisionError(
+            f"unknown policy {value!r} ({name}); "
+            f"available: {sorted(POLICY_FACTORIES)}"
+        )
+
+
+def _interval(value, name: str) -> float:
+    """A positive, finite number of seconds, as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProvisionError(f"{name} must be a number, got {value!r}")
+    try:
+        seconds = float(value)
+    except OverflowError:  # an int too large for a float
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ProvisionError(f"{name} must be finite, got {value!r}")
+    if seconds <= 0:
+        raise ProvisionError(f"{name} must be positive, got {value!r}")
+    return seconds
+
+
+def _strength(value, name: str) -> None:
+    """An integer >= 1: an ECC strength or a write-back threshold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProvisionError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ProvisionError(f"{name} must be >= 1, got {value!r}")
+
+
+def _threshold(value, name: str) -> None:
+    """``None`` (the family default) or a threshold >= 1."""
+    if value is not None:
+        _strength(value, name)
+
+
+def _flag(value, name: str) -> None:
+    if not isinstance(value, bool):
+        raise ProvisionError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One point of the provisioning grid: a concrete scrub assignment."""
@@ -100,19 +149,12 @@ class Candidate:
     with_detector: bool = False
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICY_FACTORIES:
-            raise ProvisionError(
-                f"unknown candidate policy {self.policy!r}; "
-                f"available: {sorted(POLICY_FACTORIES)}"
-            )
-        if not math.isfinite(self.interval):
-            raise ProvisionError(
-                f"candidate interval must be finite, got {self.interval!r}"
-            )
-        if self.interval <= 0:
-            raise ProvisionError("candidate interval must be positive")
-        if self.strength < 1:
-            raise ProvisionError("candidate strength must be >= 1")
+        _policy_name(self.policy, "candidate policy")
+        object.__setattr__(
+            self, "interval", _interval(self.interval, "candidate interval")
+        )
+        _strength(self.strength, "candidate strength")
+        _threshold(self.threshold, "candidate threshold")
         if self.threshold is not None:
             if self.policy not in _THRESHOLD_POLICIES:
                 raise ProvisionError(
@@ -120,8 +162,10 @@ class Candidate:
                 )
             if not 1 <= self.threshold <= self.strength:
                 raise ProvisionError(
-                    f"threshold {self.threshold} outside [1, {self.strength}]"
+                    f"threshold {self.threshold} outside "
+                    f"[1, strength={self.strength}]"
                 )
+        _flag(self.with_detector, "candidate with_detector")
 
     @property
     def effective_threshold(self) -> int | None:
@@ -174,13 +218,11 @@ class Candidate:
     @classmethod
     def from_dict(cls, data: dict) -> "Candidate":
         return cls(
-            policy=str(data["policy"]),
-            interval=float(data["interval"]),
-            strength=int(data.get("strength", 4)),
-            threshold=(
-                None if data.get("threshold") is None else int(data["threshold"])
-            ),
-            with_detector=bool(data.get("with_detector", False)),
+            policy=data["policy"],
+            interval=data["interval"],
+            strength=data.get("strength", 4),
+            threshold=data.get("threshold"),
+            with_detector=data.get("with_detector", False),
         )
 
 
@@ -201,21 +243,27 @@ class CandidateSpace:
     with_detector: bool = False
 
     def __post_init__(self) -> None:
-        if not self.policies or not self.intervals or not self.strengths:
-            raise ProvisionError(
-                "candidate space needs at least one policy, interval, "
-                "and strength"
-            )
-        if not self.thresholds:
-            raise ProvisionError(
-                "candidate space needs at least one threshold (None = auto)"
-            )
-        for policy in self.policies:
-            if policy not in POLICY_FACTORIES:
+        checks = {
+            "policies": _policy_name,
+            "intervals": _interval,
+            "strengths": _strength,
+            "thresholds": _threshold,
+        }
+        for name, check in checks.items():
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
                 raise ProvisionError(
-                    f"unknown policy {policy!r} in candidate space; "
-                    f"available: {sorted(POLICY_FACTORIES)}"
+                    f"candidate space {name} must be a list, got {values!r}"
                 )
+            if not values:
+                raise ProvisionError(
+                    f"candidate space {name} needs at least one value"
+                    + (" (null = auto)" if name == "thresholds" else "")
+                )
+            for i, value in enumerate(values):
+                check(value, f"candidate space {name}[{i}]")
+            object.__setattr__(self, name, tuple(values))
+        _flag(self.with_detector, "candidate space with_detector")
 
     def candidates(self) -> tuple[Candidate, ...]:
         """The deduplicated grid, in deterministic generation order."""
@@ -256,20 +304,11 @@ class CandidateSpace:
     def from_dict(cls, data: dict) -> "CandidateSpace":
         defaults = cls()
         return cls(
-            policies=tuple(
-                str(p) for p in data.get("policies", defaults.policies)
-            ),
-            intervals=tuple(
-                float(v) for v in data.get("intervals", defaults.intervals)
-            ),
-            strengths=tuple(
-                int(v) for v in data.get("strengths", defaults.strengths)
-            ),
-            thresholds=tuple(
-                None if v is None else int(v)
-                for v in data.get("thresholds", defaults.thresholds)
-            ),
-            with_detector=bool(data.get("with_detector", False)),
+            policies=data.get("policies", defaults.policies),
+            intervals=data.get("intervals", defaults.intervals),
+            strengths=data.get("strengths", defaults.strengths),
+            thresholds=data.get("thresholds", defaults.thresholds),
+            with_detector=data.get("with_detector", False),
         )
 
 

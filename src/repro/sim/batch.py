@@ -6,14 +6,18 @@ decision call, half a dozen ledger updates) tens of thousands of times on
 busy workloads where the quiescent fast-forward layer cannot engage.  This
 module batches that loop for static uniform-interval policies (those whose
 :meth:`repro.core.policy.ScrubPolicy.batch_interval` is not ``None``): the
-*entire device round* is evaluated as one ``(regions, region_size)`` block -
-a single drift-crossing comparison, a single detector draw, one vectorized
-policy decision (``visit_batch``), and bulk stats/energy charges
-(:meth:`repro.core.stats.ScrubStats.record_reads_bulk` and friends).  Only
-the sparse consequences - uncorrectable recoveries, write-backs, retirement
-- go through the scalar engine's per-visit settlement, region by region in
-ascending order so the population RNG stream is consumed exactly as the
-scalar walk consumes it.
+*entire device round* is evaluated as one ``(regions, region_size)`` block.
+The per-visit operations are the scalar engine's own, each of which takes
+one visit or a whole round: demand (``_apply_demand``), the drift-crossing
+comparison, the detector draw and policy decision (``visit_batch``, a
+round :class:`~repro.core.policy.VisitDecision`), the read/detect/decode
+charges (``_charge_visit``) and the quiescent skip's bulk charge
+(``_charge_quiescent``).  Only the sparse consequences - uncorrectable
+recoveries, write-backs, retirement - go through the scalar engine's
+per-visit settlement, region by region in ascending order so the
+population RNG stream is consumed exactly as the scalar walk consumes it.
+What this module owns is the round clock, the round-level quiescence test
+and the loop over regions with consequences.
 
 Every other policy (adaptive and combined scrub steer per-region
 intervals) runs on the scalar walk itself.  Batching the scheduler's
@@ -56,7 +60,7 @@ import numpy as np
 
 from ..core.stats import ScrubStats
 from ..obs.sampler import PeriodicSampler
-from .population import PopulationEngine, _advance_rng
+from .population import PopulationEngine
 
 
 class BatchPopulationEngine(PopulationEngine):
@@ -79,11 +83,6 @@ class BatchPopulationEngine(PopulationEngine):
         #: The round cadence, or ``None`` when the policy steers per-region
         #: intervals and the run takes the scalar walk.
         self._round_interval = self.policy.batch_interval()
-        # Static per-region demand mask: which regions ever see demand
-        # writes.  Regions outside it draw no workload RNG, matching the
-        # scalar `_apply_demand` early return.
-        write = self.rates.write_rate.reshape(self.num_regions, self.region_size)
-        self._demand_active = (write != 0).any(axis=1)
         #: Round-mode visit clock (``None`` until round mode starts, and
         #: forever on the scalar walk).  Lives on the engine so round-mode
         #: runs can suspend between rounds and resume bit-identically.
@@ -227,21 +226,10 @@ class BatchPopulationEngine(PopulationEngine):
             return False
 
         with self._profiler.span("fastforward"):
-            lines = self.region_size
-            visits = rounds * num_regions
-            has_detector = self.policy.scheme.has_detector
-            self.stats.record_zero_error_visits(
-                visits, lines, detector=has_detector, decode_all=not has_detector
-            )
-            if has_detector:
-                _advance_rng(engine_rng, visits * lines)
-            self._last_visit.reshape(num_regions, lines)[:, :] = (
+            self._charge_quiescent(rounds * num_regions, engine_rng)
+            self._last_visit.reshape(num_regions, self.region_size)[:, :] = (
                 scratch_last[:, None]
             )
-            self.fast_forward_skipped_visits += visits
-            self.fast_forward_jumps += 1
-            if self._ff_counter is not None:
-                self._ff_counter.inc(visits)
             if self._tracer.enabled:
                 for region in range(num_regions):
                     self._tracer.emit(
@@ -251,12 +239,6 @@ class BatchPopulationEngine(PopulationEngine):
                         skipped=rounds,
                         to_time=float(times[region]),
                     )
-            if self._verifier.enabled:
-                self._verifier.note_fast_forward(
-                    visited=visits * lines,
-                    detected=visits * lines if has_detector else 0,
-                    decoded=0 if has_detector else visits * lines,
-                )
         return True
 
     # -- the batched visit ----------------------------------------------------
@@ -271,21 +253,21 @@ class BatchPopulationEngine(PopulationEngine):
         """One batched pass over ``regions`` visited at per-region ``times``.
 
         Dense work (demand, error-count evaluation, detector, decision,
-        read/detect/decode/histogram charges) runs as whole-round array
-        ops; sparse consequences go through the scalar engine's
+        read/detect/decode/histogram charges) runs as whole-round calls to
+        the scalar engine's per-visit operations; sparse consequences go
+        through the scalar engine's
         :meth:`~repro.sim.population.PopulationEngine._settle_visit`, per
         region in ascending order, so the population stream and the
         scrub-write ledger replay the scalar sequence.
         """
         profiler = self._profiler
-        stats = self.stats
         verifier_armed = self._verifier.enabled
         num_regions = regions.shape[0]
         idx2 = self._region_index[regions]
 
         with profiler.span("visit"):
             with profiler.span("demand"):
-                self._apply_demand_batch(times, regions, idx2, workload_rng)
+                self._apply_demand(idx2, times[:, None], workload_rng)
                 if self.read_refresh:
                     for i in range(num_regions):
                         self._apply_read_refresh(
@@ -298,20 +280,11 @@ class BatchPopulationEngine(PopulationEngine):
                     times, regions, error_counts, engine_rng
                 )
 
-            # Dense accounting, replayed in the scalar ledger order: every
-            # visit reads (and detector schemes check) the whole region;
-            # per-visit decode counts advance the energy accumulator by
-            # the same iterated additions the scalar walk makes.  The
-            # invariant checker cross-checks the ledger after *every*
+            # The invariant checker cross-checks the ledger after *every*
             # visit, so verified runs charge region by region inside the
             # loop below instead (same additions, same final ledger).
             if not verifier_armed:
-                stats.record_reads_bulk(self.region_size, num_regions)
-                if self.policy.scheme.has_detector:
-                    stats.record_detects_bulk(self.region_size, num_regions)
-                stats.record_decodes_bulk(decision.decoded.sum(axis=1))
-                stats.record_error_counts(error_counts[decision.decoded])
-                stats.detector_misses += int(decision.missed.sum())
+                self._charge_visit(idx2, error_counts, decision)
 
             # Tracing, invariant checks, and retirement need every region;
             # otherwise only regions with consequences enter the loop.
@@ -337,62 +310,3 @@ class BatchPopulationEngine(PopulationEngine):
             self._last_visit.reshape(self.num_regions, self.region_size)[
                 regions
             ] = times[:, None]
-
-    def _apply_demand_batch(
-        self,
-        times: np.ndarray,
-        regions: np.ndarray,
-        idx2: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Poisson demand for the whole round in two workload-stream fills.
-
-        Regions that never carry demand draw nothing (matching the scalar
-        early return).  With one active region the draws are bitwise the
-        scalar `_apply_demand` sequence; with several, the fills cover all
-        active regions at once, which reorders the workload stream - the
-        statistical-equivalence regime.
-        """
-        active = self._demand_active[regions]
-        if not active.any():
-            return
-        active_times = times[active]
-        flat = idx2[active].ravel()
-        rates = self.rates.write_rate[flat]
-        now = np.repeat(active_times, self.region_size)
-        elapsed = now - self._last_visit[flat]
-        counts = rng.poisson(rates * elapsed)
-        written = counts > 0
-        if not written.any():
-            return
-        w_idx = flat[written]
-        w_counts = counts[written]
-        w_elapsed = elapsed[written]
-        # Same arrival model as the scalar path: the last of N uniform
-        # arrivals in the window sits at start + window * U^(1/N).
-        last_offset = w_elapsed * np.power(
-            rng.random(w_idx.size), 1.0 / w_counts
-        )
-        last_write = (now[written] - w_elapsed) + last_offset
-        self.population.rewrite(
-            w_idx,
-            last_write,
-            data_changed=True,
-            extra_writes=(w_counts - 1),
-        )
-        self.stats.record_demand_writes(int(w_counts.sum()))
-        if self._tracer.enabled:
-            active_regions = regions[active]
-            row_of = np.repeat(
-                np.arange(active_regions.shape[0]), self.region_size
-            )[written]
-            for j in range(active_regions.shape[0]):
-                mask = row_of == j
-                if mask.any():
-                    self._tracer.emit(
-                        "demand_burst",
-                        float(active_times[j]),
-                        region=int(active_regions[j]),
-                        lines=int(mask.sum()),
-                        writes=int(w_counts[mask].sum()),
-                    )

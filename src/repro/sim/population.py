@@ -729,17 +729,9 @@ class PopulationEngine:
             return None  # nothing beyond the current visit; not worth a jump
 
         with self._profiler.span("fastforward"):
+            self._charge_quiescent(visits, engine_rng)
             n = self.region_size
-            self.stats.record_zero_error_visits(
-                visits, n, detector=has_detector, decode_all=not has_detector
-            )
-            if has_detector:
-                _advance_rng(engine_rng, visits * n)
             self._last_visit[region * n : (region + 1) * n] = last
-            self.fast_forward_skipped_visits += visits
-            self.fast_forward_jumps += 1
-            if self._ff_counter is not None:
-                self._ff_counter.inc(visits)
             if self._tracer.enabled:
                 self._tracer.emit(
                     "fast_forward",
@@ -748,13 +740,36 @@ class PopulationEngine:
                     skipped=visits,
                     to_time=float(nxt),
                 )
-            if self._verifier.enabled:
-                self._verifier.note_fast_forward(
-                    visited=visits * n,
-                    detected=visits * n if has_detector else 0,
-                    decoded=0 if has_detector else visits * n,
-                )
         return nxt
+
+    def _charge_quiescent(
+        self, visits: int, engine_rng: np.random.Generator
+    ) -> None:
+        """Charge ``visits`` provably zero-error region visits in one block.
+
+        The bulk charge both quiescent skips share (the scalar
+        :meth:`_maybe_fast_forward` and the batch engine's round skip):
+        the per-visit ledger additions, the detector draws those visits
+        would have made, the skip counters and the verifier's note.  The
+        caller owns the last-visit update and the ``fast_forward`` events.
+        """
+        lines = self.region_size
+        has_detector = self.policy.scheme.has_detector
+        self.stats.record_zero_error_visits(
+            visits, lines, detector=has_detector, decode_all=not has_detector
+        )
+        if has_detector:
+            _advance_rng(engine_rng, visits * lines)
+        self.fast_forward_skipped_visits += visits
+        self.fast_forward_jumps += 1
+        if self._ff_counter is not None:
+            self._ff_counter.inc(visits)
+        if self._verifier.enabled:
+            self._verifier.note_fast_forward(
+                visited=visits * lines,
+                detected=visits * lines if has_detector else 0,
+                decoded=0 if has_detector else visits * lines,
+            )
 
     # -- internals ----------------------------------------------------------
 
@@ -769,7 +784,7 @@ class PopulationEngine:
         with profiler.span("visit"):
             idx = self.region_lines(region)
             with profiler.span("demand"):
-                self._apply_demand(idx, time, workload_rng, region)
+                self._apply_demand(idx, time, workload_rng)
                 if self.read_refresh:
                     self._apply_read_refresh(idx, time, workload_rng)
 
@@ -785,16 +800,22 @@ class PopulationEngine:
     def _charge_visit(
         self, idx: np.ndarray, error_counts: np.ndarray, decision: VisitDecision
     ) -> None:
-        """Charge one visit's reads, detector checks and decodes.
+        """Charge the reads, detector checks and decodes of a visit or round.
 
         Every visited line is read; detector-equipped schemes check every
-        line; the decoder runs only where the policy engaged it.
+        line; the decoder runs only where the policy engaged it.  A round
+        (``(regions, region_size)`` arrays) is charged as one visit per row
+        in row order: the same per-visit ledger additions, in the same
+        order, as one call per row.
         """
         stats = self.stats
-        stats.record_reads(idx.size)
+        lines = idx.shape[-1]
+        visits = idx.size // lines
+        stats.record_reads(lines, visits)
         if self.policy.scheme.has_detector:
-            stats.record_detects(idx.size)
-        stats.record_decodes(int(decision.decoded.sum()))
+            stats.record_detects(lines, visits)
+        for decoded in decision.decoded.reshape(visits, lines).sum(axis=1).tolist():
+            stats.record_decodes(decoded)
         stats.record_error_counts(error_counts[decision.decoded])
         stats.detector_misses += int(decision.missed.sum())
 
@@ -916,13 +937,19 @@ class PopulationEngine:
             )
 
     def _apply_demand(
-        self,
-        idx: np.ndarray,
-        now: float,
-        rng: np.random.Generator,
-        region: int = -1,
+        self, idx: np.ndarray, now: float | np.ndarray, rng: np.random.Generator
     ) -> None:
-        """Apply Poisson demand writes that hit ``idx`` since their last visit."""
+        """Apply Poisson demand writes that hit ``idx`` since their last visit.
+
+        ``idx`` is one region's lines visited at ``now``, or a device
+        round's ``(regions, region_size)`` block with ``now`` one time per
+        region as a ``(regions, 1)`` column.  A round draws one Poisson
+        fill and one arrival-offset fill over all its lines, region-major;
+        lines without demand draw nothing (a zero Poisson rate consumes no
+        variate), so a round with one region under demand draws exactly
+        what that region's own visit would.  ``demand_burst`` events are
+        emitted per written region, in region order.
+        """
         rates = self.rates.write_rate[idx]
         if not rates.any():
             return
@@ -937,23 +964,26 @@ class PopulationEngine:
         # Given N uniform arrivals in the window, the last one sits at
         # start + window * max(U_1..U_N); max of N uniforms ~ U^(1/N).
         last_offset = w_elapsed * np.power(rng.random(w_idx.size), 1.0 / w_counts)
-        last_write = (now - w_elapsed) + last_offset
+        last_write = (now - elapsed)[written] + last_offset
         self.population.rewrite(
             w_idx,
             last_write,
             data_changed=True,
             extra_writes=(w_counts - 1),
         )
-        total_writes = int(w_counts.sum())
-        self.stats.record_demand_writes(total_writes)
+        self.stats.record_demand_writes(int(w_counts.sum()))
         if self._tracer.enabled:
-            self._tracer.emit(
-                "demand_burst",
-                now,
-                region=region,
-                lines=int(w_idx.size),
-                writes=total_writes,
-            )
+            w_now = np.broadcast_to(now, idx.shape)[written]
+            w_region = w_idx // self.region_size
+            for region in np.unique(w_region).tolist():
+                burst = w_region == region
+                self._tracer.emit(
+                    "demand_burst",
+                    float(w_now[burst][0]),
+                    region=region,
+                    lines=int(burst.sum()),
+                    writes=int(w_counts[burst].sum()),
+                )
 
     #: Read-refresh events processed per line per inter-visit window; the
     #: expected count is well below this for any sane configuration.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,115 @@ class TestCandidateSpace:
     def test_round_trip(self):
         space = small_space(thresholds=(None, 1))
         assert CandidateSpace.from_dict(space.to_dict()) == space
+
+
+#: Arbitrary JSON values, non-finite floats included (``json`` reads
+#: ``NaN``/``Infinity``).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+CANDIDATE = {
+    "policy": "threshold",
+    "interval": 3600.0,
+    "strength": 4,
+    "threshold": 3,
+    "with_detector": False,
+}
+SPACE = {
+    "policies": ["threshold", "basic"],
+    "intervals": [1800.0, 7200.0],
+    "strengths": [2, 4],
+    "thresholds": [None, 3],
+    "with_detector": False,
+}
+
+
+def use_candidates(candidates) -> None:
+    for candidate in candidates:
+        assert candidate.key
+        candidate.policy_kwargs()
+
+
+class TestTypedFieldErrors:
+    """Malformed fields raise a ``ProvisionError`` naming the field."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            pytest.param(
+                lambda: CandidateSpace.from_dict({"with_detector": "no"}),
+                "with_detector", id="space-with_detector-string",
+            ),
+            pytest.param(
+                lambda: Candidate.from_dict({
+                    "policy": "threshold", "interval": 3600,
+                    "with_detector": "no",
+                }),
+                "with_detector", id="candidate-with_detector-string",
+            ),
+            pytest.param(
+                lambda: CandidateSpace.from_dict({"strengths": [2.7]}),
+                "strengths[0]", id="strengths-float",
+            ),
+            pytest.param(
+                lambda: CandidateSpace(strengths=("4",)),
+                "strengths[0]", id="strengths-string",
+            ),
+            pytest.param(
+                lambda: CandidateSpace(strengths=(True,)),
+                "strengths[0]", id="strengths-bool",
+            ),
+            pytest.param(
+                lambda: Candidate(
+                    policy="threshold", interval=3600.0, threshold=2.5
+                ),
+                "threshold", id="candidate-threshold-float",
+            ),
+            pytest.param(
+                lambda: CandidateSpace(thresholds=(1.5,)),
+                "thresholds[0]", id="thresholds-float",
+            ),
+            pytest.param(
+                lambda: CandidateSpace.from_dict({"intervals": ["x"]}),
+                "intervals[0]", id="intervals-string",
+            ),
+            pytest.param(
+                lambda: CandidateSpace(policies="threshold"),
+                "policies", id="policies-string",
+            ),
+        ],
+    )
+    def test_reproduced_cases_name_the_field(self, build, field):
+        with pytest.raises(ProvisionError, match=re.escape(field)):
+            build()
+
+    def test_valid_json_numbers_keep_their_keys(self):
+        space = CandidateSpace.from_dict({**SPACE, "intervals": [1800, 7200.0]})
+        assert [c.key for c in space.candidates()] == [
+            c.key for c in CandidateSpace.from_dict(SPACE).candidates()
+        ]
+        candidate = Candidate.from_dict({**CANDIDATE, "interval": 3600})
+        assert candidate == Candidate.from_dict(CANDIDATE)
+        assert candidate.policy_kwargs()["interval"] == 3600.0
+
+    @given(field=st.sampled_from(sorted(CANDIDATE)), value=JSON_VALUES)
+    def test_candidate_field_is_usable_or_named(self, field, value):
+        try:
+            candidate = Candidate.from_dict({**CANDIDATE, field: value})
+            use_candidates([candidate])
+        except ProvisionError as error:
+            assert field in str(error)
+
+    @given(field=st.sampled_from(sorted(SPACE)), value=JSON_VALUES)
+    def test_space_field_is_usable_or_named(self, field, value):
+        try:
+            space = CandidateSpace.from_dict({**SPACE, field: value})
+            use_candidates(space.candidates())
+        except ProvisionError as error:
+            assert field in str(error)
 
 
 class TestVariantSpec:

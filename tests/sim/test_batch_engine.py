@@ -8,7 +8,7 @@ reorders the workload stream and is held to a statistical band instead.
 Policies without a uniform static cadence (adaptive, combined) never
 batch: they run on the scalar walk itself.  These tests pin all three,
 plus the interactions (fast-forward, invariants, tracing, process pools)
-and the supporting bulk-ledger machinery.
+and the round-sized charge of the per-visit operations.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from repro.core import (
     strong_ecc_scrub,
     threshold_scrub,
 )
-from repro.core.policy import BatchVisitDecision
+from repro.core.policy import VisitDecision
 from repro.obs.config import ObsConfig
 from repro.params import EnduranceSpec
-from repro.pcm.energy import EnergyLedger
 from repro.sim import (
     BatchPopulationEngine,
     RunSpec,
     SimulationConfig,
+    build_engine,
     run_experiment,
     run_many,
 )
@@ -272,6 +272,38 @@ class TestObservability:
 
         assert body(batch.trace) == body(scalar.trace)
 
+    def test_demand_bursts_identical_on_single_region(self):
+        config = dataclasses.replace(SINGLE, obs=ObsConfig(trace=True))
+        batch, scalar = run_engines(
+            POLICY_MATRIX["threshold"], config, busy_rates()
+        )
+        bursts = [e for e in batch.trace if e["event"] == "demand_burst"]
+        assert bursts
+        assert bursts == [
+            e for e in scalar.trace if e["event"] == "demand_burst"
+        ]
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_demand_bursts_account_for_demand_writes(self, engine):
+        config = dataclasses.replace(
+            MULTI,
+            region_size=MULTI.num_lines // 8,
+            obs=ObsConfig(trace=True),
+            engine=engine,
+        )
+        result = run_experiment(
+            POLICY_MATRIX["threshold"](), config, busy_rates()
+        )
+        bursts = [e for e in result.trace if e["event"] == "demand_burst"]
+        visits = {
+            (e["t"], e["region"])
+            for e in result.trace
+            if e["event"] == "scrub_visit"
+        }
+        assert len({e["region"] for e in bursts}) == 8
+        assert sum(e["writes"] for e in bursts) == result.stats.demand_writes
+        assert all((e["t"], e["region"]) in visits for e in bursts)
+
     def test_timeseries_final_sample_identical(self):
         config = dataclasses.replace(
             MULTI, obs=ObsConfig(sample_every=MULTI.horizon / 4)
@@ -312,44 +344,55 @@ class TestConfigAndDecision:
             written_back=np.zeros((2, 4), dtype=bool),
             uncorrectable=np.zeros((2, 4), dtype=bool),
             missed=np.zeros((2, 4), dtype=bool),
-            next_intervals=np.full(2, 60.0),
+            next_interval=np.full(2, 60.0),
         )
-        BatchVisitDecision(**ok)
-        with pytest.raises(ValueError, match="2-D"):
-            BatchVisitDecision(
+        VisitDecision(**ok)
+        with pytest.raises(ValueError, match="next_interval"):
+            VisitDecision(**{**ok, "next_interval": 60.0})
+        with pytest.raises(ValueError, match="next_interval"):
+            VisitDecision(
                 **{**ok, "decoded": np.ones(4, dtype=bool),
                    "written_back": np.zeros(4, dtype=bool),
                    "uncorrectable": np.zeros(4, dtype=bool),
                    "missed": np.zeros(4, dtype=bool)}
             )
-        with pytest.raises(ValueError, match="next_intervals"):
-            BatchVisitDecision(**{**ok, "next_intervals": np.full(3, 60.0)})
+        with pytest.raises(ValueError, match="next_interval"):
+            VisitDecision(**{**ok, "next_interval": np.full(3, 60.0)})
         with pytest.raises(ValueError, match="positive"):
-            BatchVisitDecision(**{**ok, "next_intervals": np.array([60.0, 0.0])})
+            VisitDecision(**{**ok, "next_interval": np.array([60.0, 0.0])})
         bad = np.zeros((2, 4), dtype=bool)
         bad[0, 0] = True
         with pytest.raises(ValueError, match="both"):
-            BatchVisitDecision(
+            VisitDecision(
                 **{**ok, "written_back": bad, "uncorrectable": bad}
             )
 
 
-class TestBulkLedger:
-    """The bulk stats/energy charges replay scalar additions bit-exactly."""
+class TestRoundCharge:
+    """A round's dense charge is one visit per row, in row order."""
 
-    def test_add_sequence_matches_iterated_adds(self):
-        counts = [3, 0, 17, 1, 250]
-        a, b = EnergyLedger(), EnergyLedger()
-        for count in counts:
-            a.add("scrub_decode", 1.37e-11, count)
-        b.add_sequence("scrub_decode", 1.37e-11, counts)
-        assert a.energy == b.energy
-        assert a.counts == b.counts
-
-    def test_add_sequence_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EnergyLedger().add_sequence("scrub_decode", 1e-12, [1, -2])
-
-    def test_add_sequence_rejects_unknown_category(self):
-        with pytest.raises(KeyError):
-            EnergyLedger().add_sequence("nope", 1e-12, [1])
+    @pytest.mark.parametrize("name", ["basic", "threshold"])
+    def test_round_charge_matches_per_row_charges(self, name):
+        # 64 regions: enough per-visit additions that a fused product
+        # would round differently from the iterated ones.
+        config = dataclasses.replace(MULTI, region_size=16)
+        whole = build_engine(POLICY_MATRIX[name](), config)
+        per_row = build_engine(POLICY_MATRIX[name](), config)
+        regions = np.arange(whole.num_regions)
+        idx2 = whole._region_index
+        error_counts = np.random.default_rng(5).integers(0, 6, size=idx2.shape)
+        decision = whole.policy.visit_batch(
+            np.full(regions.shape, 60.0),
+            regions,
+            error_counts,
+            np.random.default_rng(9),
+        )
+        whole._charge_visit(idx2, error_counts, decision)
+        for i in regions:
+            per_row._charge_visit(idx2[i], error_counts[i], decision.row(i))
+        a, b = whole.stats, per_row.stats
+        assert a.summary() == b.summary()
+        assert a.energy_breakdown() == b.energy_breakdown()
+        assert a.error_histogram.tolist() == b.error_histogram.tolist()
+        assert a.visits_with_errors == b.visits_with_errors
+        assert a.detector_misses == b.detector_misses

@@ -228,7 +228,7 @@ class TestBulkPrimitives:
     def test_add_repeated_matches_iterated_add(self):
         a = ScrubStats(costs=self.costs()).ledger
         b = ScrubStats(costs=self.costs()).ledger
-        a.add_repeated("scrub_read", 3.3e-12, 64, 1000)
+        a.add("scrub_read", 3.3e-12, 64, repeats=1000)
         for __ in range(1000):
             b.add("scrub_read", 3.3e-12, 64)
         assert a.energy == b.energy

@@ -161,8 +161,8 @@ class TestDetection:
     def test_energy_drift_detected(self, monkeypatch):
         original = ScrubStats.record_reads
 
-        def drifted(self, count):
-            original(self, count)
+        def drifted(self, lines, visits=1):
+            original(self, lines, visits)
             self.ledger.energy["scrub_read"] += 1e-6
 
         corrupting(monkeypatch, "record_reads", drifted)
