@@ -512,7 +512,9 @@ def _workload(args: argparse.Namespace, num_lines: int):
 
 
 def cmd_drift_curve(args: argparse.Namespace) -> int:
-    model = DriftModel(CellSpec(), temperature_k=args.temperature)
+    if args.points < 1:
+        raise SystemExit(f"pcm-scrub: --points must be >= 1, got {args.points}")
+    model = DriftModel(CellSpec(), temperature_k=_config(args).temperature_k)
     times = np.logspace(0, 7.5, args.points)
     series = {
         f"L{level}": [model.error_probability(level, t) for t in times]

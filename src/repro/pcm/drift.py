@@ -53,8 +53,11 @@ def arrhenius_acceleration(
     >>> round(arrhenius_acceleration(300.0, 300.0, 0.2), 6)
     1.0
     """
-    if temperature_k <= 0 or reference_temperature_k <= 0:
-        raise ValueError("temperatures must be positive kelvin")
+    if not (0 < temperature_k < math.inf and 0 < reference_temperature_k < math.inf):
+        raise ValueError(
+            "temperatures must be positive, finite kelvin, "
+            f"got {temperature_k} and reference {reference_temperature_k}"
+        )
     exponent = (activation_energy_ev / units.BOLTZMANN_EV) * (
         1.0 / reference_temperature_k - 1.0 / temperature_k
     )
@@ -201,46 +204,67 @@ class DriftModel:
 
     # -- analytic error probability ---------------------------------------------
 
-    def error_probability(self, symbol: int, elapsed: float) -> float:
+    def error_probability(
+        self, symbol: int, elapsed: float | np.ndarray
+    ) -> float | np.ndarray:
         """Closed-form P(cell at ``symbol`` misreads within ``elapsed`` s).
 
         Integrates the truncated-Gaussian ``r0`` against the Gaussian ``nu``:
-        the cell errs iff ``nu > (B - r0) / log10(t_eff / t0)``.  Used to
-        validate the Monte-Carlo engine (experiment E2) and for the fast
-        analytic UE model.
+        the cell errs iff ``nu > (B - r0) / log10(t_eff / t0)``.  ``elapsed``
+        is one age (returns a ``float``) or an array of ages (returns an
+        array of its shape).  Used to validate the Monte-Carlo engine
+        (experiment E2), for the fast analytic UE model, and to tabulate
+        :class:`~repro.sim.analytic.CrossingDistribution`.
         """
-        if not 0 <= symbol < self.spec.num_levels:
-            raise ValueError(f"symbol {symbol} out of range")
-        if elapsed < 0:
-            raise ValueError("elapsed time must be >= 0")
-        if symbol == self.spec.num_levels - 1:
-            return 0.0
-        effective = elapsed * self.acceleration
-        if effective <= self.spec.t0:
-            return 0.0
-        shift = math.log10(effective / self.spec.t0)
-        band = self.spec.levels[symbol]
-        drift = self.spec.drift[symbol]
-        boundary = band.read_high
-
-        # Numerical integration over the truncated-normal r0 distribution.
-        # 257-point Simpson over the program band is far more than enough for
-        # the smooth integrand.
-        grid = np.linspace(band.program_low, band.program_high, 257)
-        r0_pdf = _truncated_normal_pdf(
-            grid, band.program_center, self.spec.program_sigma,
-            band.program_low, band.program_high,
-        )
-        threshold = (boundary - grid) / shift
-        if drift.nu_sigma == 0:
-            err_given_r0 = (threshold < drift.nu_mean).astype(float)
-        else:
-            # P(nu > threshold) under N(mean, sigma) truncated at 0.
-            err_given_r0 = _truncnorm_upper_tail(
-                threshold, drift.nu_mean, drift.nu_sigma
+        live, shift = _live_shifts(self, symbol, elapsed)
+        out = np.zeros(live.shape)
+        if symbol < self.spec.num_levels - 1 and shift.size:
+            band = self.spec.levels[symbol]
+            drift = self.spec.drift[symbol]
+            # Numerical integration over the truncated-normal r0 distribution,
+            # one row per drifting age.  257-point trapezoid over the program
+            # band is far more than enough for the smooth integrand.
+            grid = np.linspace(band.program_low, band.program_high, 257)
+            r0_pdf = _truncated_normal_pdf(
+                grid, band.program_center, self.spec.program_sigma,
+                band.program_low, band.program_high,
             )
-        integrand = r0_pdf * err_given_r0
-        return float(np.trapezoid(integrand, grid))
+            threshold = (band.read_high - grid) / shift
+            if drift.nu_sigma == 0:
+                err_given_r0 = (threshold < drift.nu_mean).astype(float)
+            else:
+                # P(nu > threshold) under N(mean, sigma) truncated at 0.
+                err_given_r0 = _truncnorm_upper_tail(
+                    threshold, drift.nu_mean, drift.nu_sigma
+                )
+            out[live] = np.trapezoid(r0_pdf * err_given_r0, grid, axis=-1)
+        return out if out.ndim else float(out)
+
+
+def _live_shifts(
+    model, symbol: int, elapsed: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an ``error_probability`` call and find its drifting ages.
+
+    The age handling both analytic models share.  ``symbol`` must be a
+    level and every age ``>= 0``, which a NaN fails.  Returns the mask, in
+    the shape of ``elapsed``, of the ages whose accelerated clock has
+    passed ``t0`` (the rest have not drifted: probability 0), and a column
+    of their ``log10(t_eff / t0)`` shifts, one row per masked age.  Each
+    shift is a scalar :func:`math.log10`; ``np.log10`` differs from it in
+    the last bit on some SIMD hosts, which would move every tabulation.
+    """
+    if not 0 <= symbol < model.spec.num_levels:
+        raise ValueError(f"symbol {symbol} out of range")
+    ages = np.asarray(elapsed, dtype=np.float64)
+    bad = ages[~(ages >= 0)]
+    if bad.size:
+        raise ValueError(f"elapsed time must be >= 0, got {bad[0]}")
+    t0 = model.spec.t0
+    effective = ages * model.acceleration
+    live = effective > t0
+    shift = np.array([math.log10(age / t0) for age in effective[live].tolist()])
+    return live, shift[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import numpy as np
 from ..params import CellSpec
 from .drift import (
     DriftModel,
+    _live_shifts,
     _truncated_normal_pdf,
     _truncnorm_upper_tail,
 )
@@ -70,56 +71,57 @@ class CompensatedSensing:
 
     # -- analytic error probability ----------------------------------------------
 
-    def error_probability(self, symbol: int, elapsed: float) -> float:
+    def error_probability(
+        self, symbol: int, elapsed: float | np.ndarray
+    ) -> float | np.ndarray:
         """P(cell at ``symbol`` misreads at age ``elapsed``), two-sided.
 
         Upward: ``(nu - nu_bar_L) * s > B_L - r0`` with ``s = log10`` age.
         Downward: ``(nu_bar_{L-1} - nu) * s > r0 - B_{L-1}``.
         The two events are disjoint for any realistic spread (they require
-        ``nu`` in opposite tails), so their probabilities add.
+        ``nu`` in opposite tails), so their probabilities add.  ``elapsed``
+        is one age (returns a ``float``) or an array of ages (returns an
+        array of its shape).
         """
-        if not 0 <= symbol < self.spec.num_levels:
-            raise ValueError(f"symbol {symbol} out of range")
-        if elapsed < 0:
-            raise ValueError("elapsed time must be >= 0")
-        effective = elapsed * self.acceleration
-        if effective <= self.spec.t0:
-            return 0.0
-        shift = math.log10(effective / self.spec.t0)
-        band = self.spec.levels[symbol]
-        drift = self.spec.drift[symbol]
+        live, shift = _live_shifts(self, symbol, elapsed)
+        out = np.zeros(live.shape)
+        if shift.size:
+            band = self.spec.levels[symbol]
+            drift = self.spec.drift[symbol]
 
-        grid = np.linspace(band.program_low, band.program_high, 257)
-        r0_pdf = _truncated_normal_pdf(
-            grid, band.program_center, self.spec.program_sigma,
-            band.program_low, band.program_high,
-        )
+            grid = np.linspace(band.program_low, band.program_high, 257)
+            r0_pdf = _truncated_normal_pdf(
+                grid, band.program_center, self.spec.program_sigma,
+                band.program_low, band.program_high,
+            )
 
-        total = np.zeros_like(grid)
-        if symbol < self.spec.num_levels - 1:
-            # Upward escape past the moving upper boundary.
-            tracked = self.spec.drift[symbol].nu_mean
-            threshold = tracked + (band.read_high - grid) / shift
-            if drift.nu_sigma == 0:
-                total += (drift.nu_mean > threshold).astype(float)
-            else:
-                total += _truncnorm_upper_tail(
-                    threshold, drift.nu_mean, drift.nu_sigma
-                )
-        if symbol > 0:
-            # Overtaken from below by the boundary tracking level L-1.
-            tracked_below = self.spec.drift[symbol - 1].nu_mean
-            # Misread iff nu < tracked_below - (r0 - B_{L-1}) / s.
-            ceiling = tracked_below - (grid - band.read_low) / shift
-            if drift.nu_sigma == 0:
-                total += (drift.nu_mean < ceiling).astype(float)
-            else:
-                # P(nu < ceiling) for nu ~ N truncated at 0.
-                total += 1.0 - _truncnorm_upper_tail(
-                    ceiling, drift.nu_mean, drift.nu_sigma
-                )
-        integrand = r0_pdf * np.clip(total, 0.0, 1.0)
-        return float(np.trapezoid(integrand, grid))
+            # One row per drifting age.
+            total = np.zeros((shift.size, grid.size))
+            if symbol < self.spec.num_levels - 1:
+                # Upward escape past the moving upper boundary.
+                tracked = self.spec.drift[symbol].nu_mean
+                threshold = tracked + (band.read_high - grid) / shift
+                if drift.nu_sigma == 0:
+                    total += (drift.nu_mean > threshold).astype(float)
+                else:
+                    total += _truncnorm_upper_tail(
+                        threshold, drift.nu_mean, drift.nu_sigma
+                    )
+            if symbol > 0:
+                # Overtaken from below by the boundary tracking level L-1.
+                tracked_below = self.spec.drift[symbol - 1].nu_mean
+                # Misread iff nu < tracked_below - (r0 - B_{L-1}) / s.
+                ceiling = tracked_below - (grid - band.read_low) / shift
+                if drift.nu_sigma == 0:
+                    total += (drift.nu_mean < ceiling).astype(float)
+                else:
+                    # P(nu < ceiling) for nu ~ N truncated at 0.
+                    total += 1.0 - _truncnorm_upper_tail(
+                        ceiling, drift.nu_mean, drift.nu_sigma
+                    )
+            integrand = r0_pdf * np.clip(total, 0.0, 1.0)
+            out[live] = np.trapezoid(integrand, grid, axis=-1)
+        return out if out.ndim else float(out)
 
     # -- Monte-Carlo sampling ---------------------------------------------------------
 

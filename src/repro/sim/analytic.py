@@ -30,6 +30,11 @@ TABULATION_FORMAT = 1
 #: the disk-cache loader, so the loader can never drift from the default.
 TABULATION_POINTS = 768
 
+#: Grid ages per ``error_probability`` call while tabulating.  Each call
+#: integrates an ``(ages, 257)`` array; chunking bounds that working set
+#: without costing speed.
+TABULATION_CHUNK = 64
+
 
 class CrossingDistribution:
     """CDF (and inverse) of a random cell's drift crossing time.
@@ -54,8 +59,10 @@ class CrossingDistribution:
         Log-grid resolution.
     model:
         Error-probability model to tabulate; any object exposing
-        ``spec`` and ``error_probability(level, elapsed)``.  Defaults to
-        the plain :class:`~repro.pcm.drift.DriftModel`; pass a
+        ``spec`` and ``error_probability(level, elapsed)``.  ``elapsed``
+        must be allowed to be an array of ages, answered with an array of
+        its shape: the tabulation asks for a chunk of grid ages per call.
+        Defaults to the plain :class:`~repro.pcm.drift.DriftModel`; pass a
         :class:`~repro.pcm.reference.CompensatedSensing` to study
         time-aware read references with the same engines.
     """
@@ -70,8 +77,10 @@ class CrossingDistribution:
         model=None,
         _tabulation: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        if t_min <= 0 or t_max <= t_min:
-            raise ValueError("need 0 < t_min < t_max")
+        if not 0 < t_min < t_max < math.inf:
+            raise ValueError(
+                f"need 0 < t_min < t_max < inf, got t_min={t_min}, t_max={t_max}"
+            )
         if points < 8:
             raise ValueError("points must be >= 8")
         if model is not None:
@@ -96,9 +105,11 @@ class CrossingDistribution:
             self.grid = np.logspace(math.log10(t_min), math.log10(t_max), points)
             per_level = np.zeros((levels, points))
             for level in range(levels):
-                per_level[level] = [
-                    self.drift.error_probability(level, t) for t in self.grid
-                ]
+                for start in range(0, points, TABULATION_CHUNK):
+                    chunk = slice(start, start + TABULATION_CHUNK)
+                    per_level[level, chunk] = self.drift.error_probability(
+                        level, self.grid[chunk]
+                    )
         #: Per-level CDFs on the grid (row = level).
         self.per_level_cdf = per_level
         #: Mixture CDF for a uniformly random symbol.

@@ -6,8 +6,8 @@ the crossing-time distribution, the population, the stats ledger, and the
 engine, runs to the horizon, and returns a :class:`RunResult`.
 
 Crossing distributions are memoized per (cell spec, temperature) because
-tabulating the analytic CDF costs a few hundred milliseconds and sweeps
-reuse it across dozens of runs.  The memo is :data:`TABULATIONS`, an
+tabulating the analytic CDF costs ~20-30 ms and sweeps reuse it across
+dozens of runs.  The memo is :data:`TABULATIONS`, an
 :class:`~repro.sim.cache.ArrayCache`: a small in-process LRU in front of
 the shared on-disk cache, so parallel sweep workers and repeated CLI
 invocations pay the tabulation once per configuration instead of once

@@ -35,6 +35,10 @@ class TestArrhenius:
     def test_invalid_temperature(self):
         with pytest.raises(ValueError):
             arrhenius_acceleration(-1, 300, 0.2)
+        with pytest.raises(ValueError, match="got nan"):
+            DriftModel(CellSpec(), temperature_k=math.nan)
+        with pytest.raises(ValueError, match="got inf"):
+            arrhenius_acceleration(math.inf, 300, 0.2)
 
 
 class TestPowerLaw:
@@ -178,6 +182,10 @@ class TestAnalyticErrorProbability:
             model.error_probability(9, 10.0)
         with pytest.raises(ValueError):
             model.error_probability(1, -1.0)
+        with pytest.raises(ValueError, match="elapsed time must be >= 0, got nan"):
+            model.error_probability(1, math.nan)
+        with pytest.raises(ValueError, match="elapsed time must be >= 0, got nan"):
+            model.error_probability(3, np.array([10.0, math.nan]))
 
 
 @given(

@@ -62,6 +62,8 @@ class TestErrorProbability:
             compensated.error_probability(5, 1.0)
         with pytest.raises(ValueError):
             compensated.error_probability(1, -1.0)
+        with pytest.raises(ValueError, match="elapsed time must be >= 0, got nan"):
+            compensated.error_probability(1, np.array([[10.0], [np.nan]]))
 
 
 class TestMonteCarlo:

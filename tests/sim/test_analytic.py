@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,10 @@ class TestCrossingDistribution:
             CrossingDistribution(t_min=0.0)
         with pytest.raises(ValueError):
             CrossingDistribution(points=2)
+        with pytest.raises(ValueError, match="t_min=nan"):
+            CrossingDistribution(t_min=math.nan)
+        with pytest.raises(ValueError, match="t_max=inf"):
+            CrossingDistribution(t_max=math.inf)
 
 
 class TestOrderStatistics:

@@ -148,13 +148,27 @@ class TestBadGlobalFlags:
     )
     @pytest.mark.parametrize(
         "command",
-        [["sweep", "--intervals", "3600"], ["trace", "--samples", "4"]],
+        [["sweep", "--intervals", "3600"], ["trace", "--samples", "4"], ["drift-curve"]],
     )
     def test_non_finite_flag_exits_naming_it(self, flags, field, command, tmp_path):
         out = ["--out", str(tmp_path)] if command[0] == "trace" else []
         with pytest.raises(SystemExit) as exit_info:
             main(["--lines", "512", *flags, *command, *out])
         assert str(exit_info.value).startswith(f"pcm-scrub: {field}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--temperature", "0", "drift-curve"],
+             "temperature_k must be positive and finite kelvin, got 0.0"),
+            (["drift-curve", "--points", "-2"], "--points must be >= 1, got -2"),
+        ],
+        ids=["temperature", "points"],
+    )
+    def test_drift_curve_bad_flag_exits_naming_it(self, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value) == f"pcm-scrub: {message}"
 
     def test_non_finite_interval_raises(self):
         with pytest.raises(ValueError, match="interval"):
