@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -480,6 +481,12 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
         raise SystemExit(f"pcm-scrub: {error}") from None
 
 
+def _require(ok: bool, flag: str, need: str, value) -> None:
+    """Exit as ``pcm-scrub: …`` naming ``flag`` unless ``ok``."""
+    if not ok:
+        raise SystemExit(f"pcm-scrub: {flag} must be {need}, got {value!r}")
+
+
 def _profile_table(profile: dict[str, dict[str, float]], title: str) -> str:
     rows = [
         [name, entry["calls"], f"{entry['seconds']:.3f}s"]
@@ -512,8 +519,7 @@ def _workload(args: argparse.Namespace, num_lines: int):
 
 
 def cmd_drift_curve(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise SystemExit(f"pcm-scrub: --points must be >= 1, got {args.points}")
+    _require(args.points >= 1, "--points", ">= 1", args.points)
     model = DriftModel(CellSpec(), temperature_k=_config(args).temperature_k)
     times = np.logspace(0, 7.5, args.points)
     series = {
@@ -765,9 +771,14 @@ def _lifetime_task(
 
 
 def cmd_lifetime(args: argparse.Namespace) -> int:
-    demand = args.demand_writes_per_hour / units.HOUR
+    temperature = _config(args).temperature_k
+    endurance, demand = args.endurance, args.demand_writes_per_hour
+    _require(math.isfinite(endurance) and endurance > 0, "--endurance",
+             "positive and finite", endurance)
+    _require(math.isfinite(demand) and demand >= 0, "--demand-writes-per-hour",
+             "non-negative and finite", demand)
     tasks = [
-        (args.interval, strength, theta, args.endurance, demand, args.temperature)
+        (args.interval, strength, theta, endurance, demand / units.HOUR, temperature)
         for strength, theta in [(4, 1), (4, 3), (8, 1), (8, 6)]
     ]
     rows = []
@@ -1336,6 +1347,12 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in {"compare", "headline", "sweep", "trace", "lifetime", "export"}:
+        # Scrub intervals (``watch --interval`` is a poll period).
+        for seconds in getattr(args, "intervals", None) or [args.interval]:
+            _require(math.isfinite(seconds) and seconds > 0,
+                     "--intervals" if args.command == "sweep" else "--interval",
+                     "positive and finite seconds", seconds)
     return COMMANDS[args.command](args)
 
 

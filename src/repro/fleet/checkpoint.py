@@ -154,11 +154,10 @@ def device_records(path: str | Path, journaled: dict[int, dict]) -> dict[int, De
     """Convert :func:`load_journal`'s device records; a bad one raises CheckpointError."""
     records = {}
     for index, record in journaled.items():
-        where = f"checkpoint {path} device {index}"
         try:
             records[index] = DeviceRecord.from_dict(record)
-        except KeyError as error:
-            raise CheckpointError(f"{where} has no {error} field") from None
-        except (TypeError, ValueError, ArithmeticError) as error:
-            raise CheckpointError(f"{where} is malformed: {error}") from None
+        except ValueError as error:
+            raise CheckpointError(
+                f"checkpoint {path} device {index} is malformed: {error}"
+            ) from None
     return records

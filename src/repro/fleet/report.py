@@ -33,14 +33,12 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from ..analysis.stats import binomial_interval, poisson_interval
+from ..fields import load
 from ..sim.results import RunResult
 from .spec import DeviceSpec, FleetSpec
 
 #: Per-10^9-hours scale that defines the FIT unit.
 FIT_HOURS = 1e9
-
-#: Marks a journal-record field that has no default.
-_REQUIRED = object()
 
 #: Integer counters summed exactly across devices and lots.
 _COUNT_KEYS = (
@@ -90,7 +88,7 @@ class DeviceRecord:
     temperature_k: float
     nu_mu_scale: float
     nu_sigma_scale: float
-    endurance_mean: float | None
+    endurance_mean: float | None = None
     #: ``ScrubStats.summary()`` of the device run.
     summary: dict = field(default_factory=dict)
     final_state: dict = field(default_factory=dict)
@@ -133,34 +131,9 @@ class DeviceRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "DeviceRecord":
-        """Parse a journal record.
-
-        A missing required field raises ``KeyError`` naming it; a value
-        its converter rejects raises ``ValueError`` naming the field.
-        """
-
-        def read(key: str, convert, default=_REQUIRED):
-            value = data[key] if default is _REQUIRED else data.get(key, default)
-            try:
-                return convert(value)
-            except (TypeError, ValueError, ArithmeticError) as error:
-                raise ValueError(f"field {key!r}: {error}") from None
-
-        return cls(
-            index=read("index", int),
-            lot=read("lot", str),
-            seed=read("seed", int),
-            temperature_k=read("temperature_k", float),
-            nu_mu_scale=read("nu_mu_scale", float),
-            nu_sigma_scale=read("nu_sigma_scale", float),
-            endurance_mean=read(
-                "endurance_mean", lambda v: None if v is None else float(v), None
-            ),
-            summary=read("summary", dict, {}),
-            final_state=read("final_state", dict, {}),
-            runtime_seconds=read("runtime_seconds", float, 0.0),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "DeviceRecord":
+        """Parse a journal record; a malformed field raises ``FieldError`` naming it."""
+        return load(cls, data, path, ignore=("kind",))
 
     def normalized(self) -> "DeviceRecord":
         """The record as it reads back from a JSON journal.

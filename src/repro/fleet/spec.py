@@ -42,6 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .. import units
+from ..fields import (
+    FieldError, array, bad, flag, integer, join, mapping, number, optional,
+    read, real, text,
+)
 from ..obs.config import ObsConfig
 from ..params import EnduranceSpec, replace
 from ..sim.config import SimulationConfig
@@ -102,7 +106,7 @@ class LotParameter:
     @classmethod
     def from_dict(cls, data: dict, path: str = "lot parameter") -> "LotParameter":
         """Parse the JSON form; a malformed field raises ``ValueError`` naming it."""
-        fields = _read(data, path, _PARAMETER_FIELDS, required=("mean",))
+        fields = read(data, path, _PARAMETER_FIELDS, required=("mean",))
         return _build(cls, fields, path)
 
 
@@ -179,7 +183,7 @@ class Lot:
         A ``null`` field keeps its default (the unit scale for the drift
         scales, no override for the rest).
         """
-        fields = _read(data, path, _LOT_FIELDS, required=("name",))
+        fields = read(data, path, _LOT_FIELDS, required=("name",))
         return _build(cls, fields, path)
 
 
@@ -509,7 +513,10 @@ class FleetSpec:
         are type-checked and every number must be finite.  Policy kwargs
         are checked when the policy is built, not here.
         """
-        fields = _read(data, "", _SPEC_FIELDS, required=("name", "devices", "policy"))
+        try:
+            fields = read(data, "", _SPEC_FIELDS, required=("name", "devices", "policy"))
+        except FieldError as error:
+            raise FieldError(f"fleet spec {error}") from None
         fields.pop("version", None)
         base_config = fields.pop("config", None) or SimulationConfig()
         return cls(
@@ -534,40 +541,10 @@ class FleetSpec:
 
 # -- JSON parsing -------------------------------------------------------------
 #
-# ``from_dict`` reads untrusted JSON.  Each field has a parser taking
-# ``(value, path)``; a malformed value raises ``ValueError`` naming the
-# field by its path in the spec (``devices``, ``config.seed``,
-# ``lots[1].weight``).
-
-
-def _bad(path: str, problem: str) -> ValueError:
-    return ValueError(f"fleet spec field {path}: {problem}" if path else f"fleet spec: {problem}")
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise _bad(path, f"expected a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _read(value, path: str, fields: dict, required: tuple[str, ...] = ()) -> dict:
-    """Parse a JSON object whose keys ``fields`` defines, key by key."""
-    data = _object(value, path)
-    unknown = sorted(str(key) for key in data if key not in fields)
-    if unknown:
-        where = f"{path} block" if path else "top level"
-        raise ValueError(
-            f"fleet spec {where} has unknown keys {unknown}; "
-            f"the format defines {sorted(fields)}"
-        )
-    for key in required:
-        if key not in data:
-            raise _bad(_join(path, key), "is required")
-    return {key: fields[key](item, _join(path, key)) for key, item in data.items()}
+# ``from_dict`` reads untrusted JSON through explicit field tables over the
+# shared readers (:mod:`repro.fields`); a malformed value raises
+# ``FieldError`` naming the field by its path in the spec (``devices``,
+# ``config.seed``, ``lots[1].weight``).
 
 
 def _build(cls, fields: dict, path: str):
@@ -575,7 +552,7 @@ def _build(cls, fields: dict, path: str):
     try:
         return cls(**{key: value for key, value in fields.items() if value is not None})
     except ValueError as error:
-        raise _bad(path, str(error)) from None
+        raise bad(path, str(error)) from None
 
 
 def _block(cls, fields: dict, required: tuple[str, ...] = (), null=None):
@@ -584,50 +561,9 @@ def _block(cls, fields: dict, required: tuple[str, ...] = (), null=None):
     def parse(value, path: str):
         if value is None:
             return null
-        return _build(cls, _read(value, path, fields, required), path)
+        return _build(cls, read(value, path, fields, required), path)
 
     return parse
-
-
-def _optional(parse):
-    return lambda value, path: None if value is None else parse(value, path)
-
-
-def _text(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise _bad(path, f"expected a string, got {value!r}")
-    return value
-
-
-def _flag(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise _bad(path, f"expected true or false, got {value!r}")
-    return value
-
-
-def _number(value, path: str) -> int | float:
-    """A finite JSON number, unconverted (so canonical forms keep their ints)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad(path, f"expected a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise _bad(path, f"must be finite, got {value!r}")
-    return value
-
-
-def _real(value, path: str) -> float:
-    return float(_number(value, path))
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _bad(path, f"expected an integer, got {value!r}")
-    return value
 
 
 def _version(value, path: str) -> int:
@@ -643,83 +579,77 @@ def _version(value, path: str) -> int:
 #: ``horizon_days`` alias.  Values keep their JSON types, so a spec's
 #: canonical form (and content hash) is what it always was.
 _CONFIG_FIELDS = {
-    "num_lines": _integer,
-    "region_size": _integer,
-    "horizon": _number,
-    "horizon_days": _number,
-    "seed": _integer,
-    "temperature_k": _number,
+    "num_lines": integer,
+    "region_size": integer,
+    "horizon": number,
+    "horizon_days": number,
+    "seed": integer,
+    "temperature_k": number,
     "endurance": _block(
-        EnduranceSpec, {"mean_writes": _real, "sigma_log10": _real}, ("mean_writes",)
+        EnduranceSpec, {"mean_writes": real, "sigma_log10": real}, ("mean_writes",)
     ),
-    "retire_hard_limit": _optional(_integer),
-    "read_refresh": _flag,
-    "compensated_sensing": _flag,
-    "keep": _integer,
-    "spares_per_region": _optional(_integer),
-    "engine": _text,
-    "fast_forward": _flag,
+    "retire_hard_limit": optional(integer),
+    "read_refresh": flag,
+    "compensated_sensing": flag,
+    "keep": integer,
+    "spares_per_region": optional(integer),
+    "engine": text,
+    "fast_forward": flag,
     "obs": _block(
         ObsConfig,
-        {"trace": _flag, "sample_every": _optional(_number), "profile": _flag},
+        {"trace": flag, "sample_every": optional(number), "profile": flag},
         null=ObsConfig(),
     ),
     "verify": _block(
         VerifyConfig,
-        {"invariants": _flag, "check_every": _integer, "energy_rtol": _number},
+        {"invariants": flag, "check_every": integer, "energy_rtol": number},
         null=VerifyConfig(),
     ),
 }
 
 
 def _base_config(value, path: str) -> SimulationConfig:
-    kwargs = _read(value, path, _CONFIG_FIELDS)
+    kwargs = read(value, path, _CONFIG_FIELDS)
     if "horizon_days" in kwargs:
         days = kwargs.pop("horizon_days")
         kwargs["horizon"] = float(days) * units.DAY
         if not (math.isfinite(kwargs["horizon"]) and kwargs["horizon"] > 0):
-            raise _bad(
-                _join(path, "horizon_days"),
+            raise bad(
+                join(path, "horizon_days"),
                 f"must give a positive, finite horizon, got {days!r}",
             )
     try:
         return SimulationConfig(**kwargs)
     except ValueError as error:
-        raise _bad(path, str(error)) from None
-
-
-def _lots(value, path: str) -> tuple[Lot, ...]:
-    if not isinstance(value, list):
-        raise _bad(path, f"expected a JSON array, got {value!r}")
-    return tuple(Lot.from_dict(lot, f"{path}[{i}]") for i, lot in enumerate(value))
+        raise bad(path, str(error)) from None
 
 
 _PARAMETER_FIELDS = {
-    "mean": _real,
-    "spread": _real,
-    "low": _optional(_real),
-    "high": _optional(_real),
+    "mean": real,
+    "spread": real,
+    "low": optional(real),
+    "high": optional(real),
 }
 
 _LOT_FIELDS = {
-    "name": _text,
-    "weight": _real,
-    "nu_mu_scale": _optional(LotParameter.from_dict),
-    "nu_sigma_scale": _optional(LotParameter.from_dict),
-    "temperature_k": _optional(LotParameter.from_dict),
-    "endurance_mean": _optional(LotParameter.from_dict),
-    "policy": _optional(_text),
-    "policy_kwargs": _optional(_object),
+    "name": text,
+    "weight": real,
+    "nu_mu_scale": optional(LotParameter.from_dict),
+    "nu_sigma_scale": optional(LotParameter.from_dict),
+    "temperature_k": optional(LotParameter.from_dict),
+    "endurance_mean": optional(LotParameter.from_dict),
+    "policy": optional(text),
+    "policy_kwargs": optional(mapping),
 }
 
 _SPEC_FIELDS = {
     "version": _version,
-    "name": _text,
-    "devices": _integer,
-    "policy": _text,
-    "policy_kwargs": _object,
-    "capacity_gib_per_device": _real,
-    "demand_write_rate": _optional(_real),
+    "name": text,
+    "devices": integer,
+    "policy": text,
+    "policy_kwargs": mapping,
+    "capacity_gib_per_device": real,
+    "demand_write_rate": optional(real),
     "config": _base_config,
-    "lots": _lots,
+    "lots": array(Lot.from_dict),
 }

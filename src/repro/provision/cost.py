@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .. import units
+from ..fields import load
 
 #: Joules per kilowatt-hour (grid carbon intensity is quoted per kWh).
 J_PER_KWH = 3.6e6
@@ -140,22 +141,5 @@ class CostModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CostModel":
-        defaults = cls()
-        return cls(
-            dollars_per_gib=float(
-                data.get("dollars_per_gib", defaults.dollars_per_gib)
-            ),
-            carbon_intensity_kg_per_kwh=float(
-                data.get(
-                    "carbon_intensity_kg_per_kwh",
-                    defaults.carbon_intensity_kg_per_kwh,
-                )
-            ),
-            embodied_kg_per_gib=float(
-                data.get("embodied_kg_per_gib", defaults.embodied_kg_per_gib)
-            ),
-            amortization_years=float(
-                data.get("amortization_years", defaults.amortization_years)
-            ),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "CostModel":
+        return load(cls, data, path)

@@ -29,6 +29,8 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from ..fields import load
+
 
 class ParetoError(ValueError):
     """A point set is malformed (NaN axis, mixed dimensions, key clash)."""
@@ -52,7 +54,7 @@ class ParetoPoint:
         if not self.key:
             raise ParetoError("pareto point key must be non-empty")
         if not self.values:
-            raise ParetoError(f"point {self.key!r}: needs at least one axis")
+            raise ParetoError(f"point {self.key!r}: values need at least one axis")
         values = tuple(float(v) for v in self.values)
         for v in values:
             if math.isnan(v):
@@ -63,11 +65,8 @@ class ParetoPoint:
         return {"key": self.key, "values": list(self.values)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ParetoPoint":
-        return cls(
-            key=str(data["key"]),
-            values=tuple(float(v) for v in data["values"]),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "ParetoPoint":
+        return load(cls, data, path)
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:

@@ -22,6 +22,7 @@ import io
 import json
 from dataclasses import dataclass, replace
 
+from ..fields import load, mapping
 from ..fleet.spec import FleetSpec
 from .cost import CostModel
 from .pareto import merge_frontiers
@@ -31,7 +32,7 @@ from .search import AXES, CandidateSpace, LotProvision, ProvisionError
 REPORT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProvisionReport:
     """Everything one provisioning search produced."""
 
@@ -39,11 +40,11 @@ class ProvisionReport:
     spec_hash: str
     devices: int
     horizon: float
-    fit_limit: float | None
-    confidence: float
-    exhaustive: bool
-    cost_model: CostModel
-    space: CandidateSpace
+    fit_limit: float | None = None
+    confidence: float = 0.95
+    exhaustive: bool = False
+    cost_model: CostModel = CostModel()
+    space: CandidateSpace = CandidateSpace()
     lots: tuple[LotProvision, ...]
     #: Total MC device-runs the search spent (the benchmark's currency).
     mc_device_runs: int
@@ -160,28 +161,15 @@ class ProvisionReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ProvisionReport":
-        version = data.get("version", REPORT_VERSION)
+    def from_dict(cls, data: dict, path: str = "") -> "ProvisionReport":
+        version = mapping(data, path).get("version", REPORT_VERSION)
         if version != REPORT_VERSION:
             raise ProvisionError(
                 f"unsupported provision report version {version!r}"
             )
-        report = cls(
-            name=str(data["name"]),
-            spec_hash=str(data["spec_hash"]),
-            devices=int(data["devices"]),
-            horizon=float(data["horizon"]),
-            fit_limit=(
-                None if data.get("fit_limit") is None else float(data["fit_limit"])
-            ),
-            confidence=float(data.get("confidence", 0.95)),
-            exhaustive=bool(data.get("exhaustive", False)),
-            cost_model=CostModel.from_dict(data.get("cost_model", {})),
-            space=CandidateSpace.from_dict(data.get("space", {})),
-            lots=tuple(LotProvision.from_dict(lot) for lot in data["lots"]),
-            mc_device_runs=int(data["mc_device_runs"]),
-        )
-        return report
+        return load(cls, data, path, ignore=(
+            "version", "axes", "candidates_evaluated", "frontier_size", "recommended",
+        ))
 
     # ``assignments_spec`` needs the base fleet; the search attaches it
     # after construction (it is deliberately not part of the JSON form -

@@ -45,11 +45,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..fields import (
+    FieldError, array, flag, integer, load, optional, positive, real, text,
+)
 from ..fleet.campaign import CampaignRunner
 from ..fleet.report import FIT_HOURS, per_gib
 from ..fleet.spec import DeviceSpec, FleetSpec, Lot
@@ -85,52 +88,37 @@ _THRESHOLD_POLICIES = frozenset({"threshold", "partial"})
 _INTERVAL_ONLY_POLICIES = frozenset({"basic"})
 
 
-# Field checks for candidates and candidate spaces, which may come from
-# JSON: each raises a ProvisionError naming the field (``name``).
-
-
-def _policy_name(value, name: str) -> None:
-    if not isinstance(value, str):
-        raise ProvisionError(f"{name} must be a policy name, got {value!r}")
-    if value not in POLICY_FACTORIES:
+def _policy_name(value, path: str) -> str:
+    if text(value, path) not in POLICY_FACTORIES:
         raise ProvisionError(
-            f"unknown policy {value!r} ({name}); "
+            f"unknown policy {value!r} ({path}); "
             f"available: {sorted(POLICY_FACTORIES)}"
         )
+    return value
 
 
-def _interval(value, name: str) -> float:
-    """A positive, finite number of seconds, as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ProvisionError(f"{name} must be a number, got {value!r}")
+#: A count that must be at least one: an ECC strength or a threshold.
+_count = positive(integer)
+
+
+@contextmanager
+def _provision_errors(what: str):
+    """Re-raise a shared reader's ``FieldError`` as a ``ProvisionError``."""
     try:
-        seconds = float(value)
-    except OverflowError:  # an int too large for a float
-        seconds = math.inf
-    if not math.isfinite(seconds):
-        raise ProvisionError(f"{name} must be finite, got {value!r}")
-    if seconds <= 0:
-        raise ProvisionError(f"{name} must be positive, got {value!r}")
-    return seconds
+        yield
+    except FieldError as error:
+        raise ProvisionError(f"{what} {error}") from None
 
 
-def _strength(value, name: str) -> None:
-    """An integer >= 1: an ECC strength or a write-back threshold."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ProvisionError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ProvisionError(f"{name} must be >= 1, got {value!r}")
+def _check(instance, what: str, checks: dict) -> None:
+    """Store each field read through its check; a bad one raises ``ProvisionError``.
 
-
-def _threshold(value, name: str) -> None:
-    """``None`` (the family default) or a threshold >= 1."""
-    if value is not None:
-        _strength(value, name)
-
-
-def _flag(value, name: str) -> None:
-    if not isinstance(value, bool):
-        raise ProvisionError(f"{name} must be true or false, got {value!r}")
+    Candidates and spaces come from JSON, CLI flags and Python callers,
+    so their constructors check every field through the shared readers.
+    """
+    with _provision_errors(what):
+        for name, check in checks.items():
+            object.__setattr__(instance, name, check(getattr(instance, name), name))
 
 
 @dataclass(frozen=True)
@@ -149,12 +137,7 @@ class Candidate:
     with_detector: bool = False
 
     def __post_init__(self) -> None:
-        _policy_name(self.policy, "candidate policy")
-        object.__setattr__(
-            self, "interval", _interval(self.interval, "candidate interval")
-        )
-        _strength(self.strength, "candidate strength")
-        _threshold(self.threshold, "candidate threshold")
+        _check(self, "candidate", _CANDIDATE_CHECKS)
         if self.threshold is not None:
             if self.policy not in _THRESHOLD_POLICIES:
                 raise ProvisionError(
@@ -165,7 +148,6 @@ class Candidate:
                     f"threshold {self.threshold} outside "
                     f"[1, strength={self.strength}]"
                 )
-        _flag(self.with_detector, "candidate with_detector")
 
     @property
     def effective_threshold(self) -> int | None:
@@ -208,22 +190,26 @@ class Candidate:
     def to_dict(self) -> dict:
         return {
             "policy": self.policy,
-            "interval": float(self.interval),
-            "strength": int(self.strength),
+            "interval": self.interval,
+            "strength": self.strength,
             "threshold": self.threshold,
             "with_detector": self.with_detector,
             "key": self.key,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Candidate":
-        return cls(
-            policy=data["policy"],
-            interval=data["interval"],
-            strength=data.get("strength", 4),
-            threshold=data.get("threshold"),
-            with_detector=data.get("with_detector", False),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "Candidate":
+        with _provision_errors("candidate"):
+            return load(cls, data, path, ignore=("key",))
+
+
+_CANDIDATE_CHECKS = {
+    "policy": _policy_name,
+    "interval": positive(real),
+    "strength": _count,
+    "threshold": optional(_count),
+    "with_detector": flag,
+}
 
 
 @dataclass(frozen=True)
@@ -243,27 +229,13 @@ class CandidateSpace:
     with_detector: bool = False
 
     def __post_init__(self) -> None:
-        checks = {
-            "policies": _policy_name,
-            "intervals": _interval,
-            "strengths": _strength,
-            "thresholds": _threshold,
-        }
-        for name, check in checks.items():
-            values = getattr(self, name)
-            if not isinstance(values, (tuple, list)):
-                raise ProvisionError(
-                    f"candidate space {name} must be a list, got {values!r}"
-                )
-            if not values:
+        _check(self, "candidate space", _SPACE_CHECKS)
+        for name in ("policies", "intervals", "strengths", "thresholds"):
+            if not getattr(self, name):
                 raise ProvisionError(
                     f"candidate space {name} needs at least one value"
                     + (" (null = auto)" if name == "thresholds" else "")
                 )
-            for i, value in enumerate(values):
-                check(value, f"candidate space {name}[{i}]")
-            object.__setattr__(self, name, tuple(values))
-        _flag(self.with_detector, "candidate space with_detector")
 
     def candidates(self) -> tuple[Candidate, ...]:
         """The deduplicated grid, in deterministic generation order."""
@@ -278,8 +250,8 @@ class CandidateSpace:
                 continue
             candidate = Candidate(
                 policy=policy,
-                interval=float(interval),
-                strength=int(strength),
+                interval=interval,
+                strength=strength,
                 threshold=threshold,
                 with_detector=(
                     self.with_detector if policy == "threshold" else False
@@ -292,24 +264,25 @@ class CandidateSpace:
     def to_dict(self) -> dict:
         return {
             "policies": list(self.policies),
-            "intervals": [float(v) for v in self.intervals],
-            "strengths": [int(v) for v in self.strengths],
-            "thresholds": [
-                None if v is None else int(v) for v in self.thresholds
-            ],
+            "intervals": list(self.intervals),
+            "strengths": list(self.strengths),
+            "thresholds": list(self.thresholds),
             "with_detector": self.with_detector,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CandidateSpace":
-        defaults = cls()
-        return cls(
-            policies=data.get("policies", defaults.policies),
-            intervals=data.get("intervals", defaults.intervals),
-            strengths=data.get("strengths", defaults.strengths),
-            thresholds=data.get("thresholds", defaults.thresholds),
-            with_detector=data.get("with_detector", False),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "CandidateSpace":
+        with _provision_errors("candidate space"):
+            return load(cls, data, path)
+
+
+_SPACE_CHECKS = {
+    "policies": array(_policy_name),
+    "intervals": array(positive(real)),
+    "strengths": array(_count),
+    "thresholds": array(optional(_count)),
+    "with_detector": flag,
+}
 
 
 @dataclass(frozen=True)
@@ -378,24 +351,8 @@ class CandidateEvaluation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CandidateEvaluation":
-        return cls(
-            lot=str(data["lot"]),
-            candidate=Candidate.from_dict(data["candidate"]),
-            devices=int(data["devices"]),
-            surrogate_devices=int(data["surrogate_devices"]),
-            mc_devices=int(data["mc_devices"]),
-            expected_ue=float(data["expected_ue"]),
-            expected_writes=float(data["expected_writes"]),
-            scrub_energy_j=float(data["scrub_energy_j"]),
-            fit_scaled=float(data["fit_scaled"]),
-            energy_per_gib_j=float(data["energy_per_gib_j"]),
-            writes_per_device=float(data["writes_per_device"]),
-            dollars_per_gib=float(data["dollars_per_gib"]),
-            carbon_per_gib_kg=float(data["carbon_per_gib_kg"]),
-            feasible=bool(data.get("feasible", True)),
-            infeasible_reason=str(data.get("infeasible_reason", "")),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "CandidateEvaluation":
+        return load(cls, data, path, ignore=("method",))
 
 
 @dataclass(frozen=True)
@@ -410,7 +367,7 @@ class LotProvision:
     frontier: tuple[str, ...]
     #: The knee candidate's key; ``None`` when no candidate is feasible
     #: (the lot keeps its existing assignment).
-    recommended: str | None
+    recommended: str | None = None
 
     def evaluation(self, key: str) -> CandidateEvaluation:
         for evaluation in self.evaluations:
@@ -437,20 +394,8 @@ class LotProvision:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LotProvision":
-        return cls(
-            lot=str(data["lot"]),
-            devices=int(data["devices"]),
-            evaluations=tuple(
-                CandidateEvaluation.from_dict(e) for e in data["evaluations"]
-            ),
-            frontier=tuple(str(k) for k in data["frontier"]),
-            recommended=(
-                None
-                if data.get("recommended") is None
-                else str(data["recommended"])
-            ),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "LotProvision":
+        return load(cls, data, path)
 
 
 def variant_spec(

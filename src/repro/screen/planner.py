@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import poisson
 
+from ..fields import load
 from ..fleet.report import FIT_HOURS
 from ..fleet.spec import DeviceSpec, FleetSpec
 from ..obs.metrics import GLOBAL_REGISTRY
@@ -120,19 +121,8 @@ class ScreenConstraints:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScreenConstraints":
-        return cls(
-            fit_limit=(
-                None if data.get("fit_limit") is None else float(data["fit_limit"])
-            ),
-            min_availability=(
-                None
-                if data.get("min_availability") is None
-                else float(data["min_availability"])
-            ),
-            confidence=float(data.get("confidence", 0.95)),
-            availability_margin=float(data.get("availability_margin", 0.02)),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "ScreenConstraints":
+        return load(cls, data, path)
 
 
 @dataclass(frozen=True)
@@ -157,6 +147,13 @@ class ScreenDecision:
     #: Capacity-scaled FIT implied by ``expected_ue``.
     fit_scaled: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.classification not in (PASS, FAIL, UNCERTAIN):
+            raise ScreenError(
+                f"classification must be {PASS}, {FAIL} or {UNCERTAIN}, "
+                f"got {self.classification!r}"
+            )
+
     @property
     def method(self) -> str:
         """Where this device's report contribution comes from."""
@@ -176,20 +173,8 @@ class ScreenDecision:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScreenDecision":
-        def opt(key: str) -> float | None:
-            return None if data.get(key) is None else float(data[key])
-
-        return cls(
-            index=int(data["index"]),
-            lot=str(data["lot"]),
-            classification=str(data["classification"]),
-            reasons=tuple(str(r) for r in data.get("reasons", [])),
-            expected_ue=opt("expected_ue"),
-            expected_writes=opt("expected_writes"),
-            no_ue_probability=opt("no_ue_probability"),
-            fit_scaled=opt("fit_scaled"),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "ScreenDecision":
+        return load(cls, data, path, ignore=("method",))
 
 
 @dataclass(frozen=True)
@@ -247,14 +232,8 @@ class ScreenPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScreenPlan":
-        return cls(
-            spec_hash=str(data["spec_hash"]),
-            constraints=ScreenConstraints.from_dict(data["constraints"]),
-            decisions=tuple(
-                ScreenDecision.from_dict(entry) for entry in data["decisions"]
-            ),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "ScreenPlan":
+        return load(cls, data, path)
 
 
 # -- regime checks ------------------------------------------------------------

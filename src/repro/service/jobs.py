@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..durable import atomic_write
+from ..fields import array
 from ..fleet.checkpoint import CheckpointError, device_records, load_journal
 from ..fleet.report import DeviceRecord
 from ..fleet.spec import FleetSpec
@@ -269,9 +270,7 @@ def _load_campaign(root: Path) -> Campaign:
                 f"spec has {spec.devices}"
             )
 
-    shards = tuple(
-        CampaignShard.from_dict(entry) for entry in plan_payload["shards"]
-    )
+    shards = array(CampaignShard.from_dict)(plan_payload["shards"], "shards")
     expected = (
         list(range(spec.devices)) if screen is None else list(screen.escalated)
     )

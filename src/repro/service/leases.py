@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..durable import atomic_write
+from ..fields import load
 
 #: Seconds without a heartbeat before a lease is presumed dead.  Workers
 #: heartbeat at every device completion *and* every mid-device snapshot
@@ -56,14 +57,8 @@ class Lease:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Lease":
-        return cls(
-            worker=str(data["worker"]),
-            pid=int(data["pid"]),
-            host=str(data["host"]),
-            acquired=float(data["acquired"]),
-            heartbeat=float(data["heartbeat"]),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "Lease":
+        return load(cls, data, path)
 
     def age(self, now: float | None = None) -> float:
         return (time.time() if now is None else now) - self.heartbeat
@@ -136,7 +131,7 @@ def read_lease(path: str | Path) -> Lease | None:
     try:
         data = json.loads(Path(path).read_text())
         return Lease.from_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError):
+    except (OSError, ValueError):  # JSONDecodeError and FieldError included
         return None
 
 

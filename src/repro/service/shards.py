@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from ..fields import array, integer, optional, read
+
 
 @dataclass(frozen=True)
 class CampaignShard:
@@ -83,14 +85,18 @@ class CampaignShard:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CampaignShard":
-        devices = data.get("devices")
-        return cls(
-            shard_id=int(data["id"]),
-            start=int(data["start"]),
-            stop=int(data["stop"]),
-            devices=None if devices is None else tuple(int(i) for i in devices),
-        )
+    def from_dict(cls, data: dict, path: str = "") -> "CampaignShard":
+        fields = read(data, path, _SHARD_FIELDS, required=("id", "start", "stop"))
+        return cls(shard_id=fields.pop("id"), **fields)
+
+
+#: A shard's JSON keys; ``id`` names the ``shard_id`` field.
+_SHARD_FIELDS = {
+    "id": integer,
+    "start": integer,
+    "stop": integer,
+    "devices": optional(array(integer)),
+}
 
 
 def plan_shards(devices: int, shards: int) -> list[CampaignShard]:

@@ -44,6 +44,17 @@ import numpy as np
 
 from .analytic import CrossingDistribution, _binomial_pmf
 
+#: Propagation cap (visits per cycle) and surviving-mass tolerance, shared
+#: by the scalar solver and the batched kernel (:mod:`repro.sim.renewal_batch`).
+MAX_VISITS = 20_000
+TOLERANCE = 1e-12
+
+
+def check_seconds(name: str, seconds: float) -> None:
+    """Raise ``ValueError`` naming ``seconds`` unless it is positive and finite."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name} must be positive and finite seconds, got {seconds!r}")
+
 
 def aligned_visits(horizon: float, interval: float) -> int:
     """Aligned scrub visits within ``horizon``: ``|{k >= 1 : k*T <= horizon}|``.
@@ -53,10 +64,8 @@ def aligned_visits(horizon: float, interval: float) -> int:
     identically by the simulation, the scalar solver, and the batched
     kernel (:mod:`repro.sim.renewal_batch`).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    check_seconds("horizon", horizon)
+    check_seconds("interval", interval)
     visits = int(math.floor(horizon / interval))
     while (visits + 1) * interval <= horizon:
         visits += 1
@@ -159,21 +168,11 @@ class FiniteHorizonSolution:
 class RenewalModel:
     """Exact threshold-scrub renewal solver over a crossing distribution."""
 
-    def __init__(
-        self,
-        distribution: CrossingDistribution,
-        cells_per_line: int,
-        max_visits: int = 20_000,
-        tolerance: float = 1e-12,
-    ):
+    def __init__(self, distribution: CrossingDistribution, cells_per_line: int):
         if cells_per_line <= 0:
             raise ValueError("cells_per_line must be positive")
-        if max_visits < 1:
-            raise ValueError("max_visits must be >= 1")
         self.distribution = distribution
         self.cells_per_line = cells_per_line
-        self.max_visits = max_visits
-        self.tolerance = tolerance
 
     def _propagate(
         self, interval: float, t_ecc: int, threshold: int, max_visits: int
@@ -187,8 +186,7 @@ class RenewalModel:
         and the scalars are accumulated in the same order as always so
         :meth:`solve` stays bit-identical to its historical results.
         """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        check_seconds("interval", interval)
         if not 1 <= threshold <= t_ecc:
             raise ValueError("need 1 <= threshold <= t_ecc")
         C = self.cells_per_line
@@ -213,7 +211,7 @@ class RenewalModel:
             prev_f = f
 
             alive = float(survive.sum())
-            if alive <= self.tolerance:
+            if alive <= TOLERANCE:
                 break
             expected_visits += alive
 
@@ -262,7 +260,7 @@ class RenewalModel:
         """
         (
             _, _, end_ue, end_write, expected_visits, error_visits, leftover,
-        ) = self._propagate(interval, t_ecc, threshold, self.max_visits)
+        ) = self._propagate(interval, t_ecc, threshold, MAX_VISITS)
 
         resolved = end_write + end_ue
         if resolved + leftover < 1e-6:
@@ -316,7 +314,7 @@ class RenewalModel:
             )
 
         ue_by_visit, write_by_visit, *_ = self._propagate(
-            interval, t_ecc, threshold, min(self.max_visits, visits)
+            interval, t_ecc, threshold, min(MAX_VISITS, visits)
         )
         u = ue_by_visit + [0.0] * (visits - len(ue_by_visit))
         w = write_by_visit + [0.0] * (visits - len(write_by_visit))

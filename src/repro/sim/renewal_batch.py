@@ -47,16 +47,13 @@ import numpy as np
 from ..obs.metrics import GLOBAL_REGISTRY
 from .analytic import CrossingDistribution, _log_comb
 from .cache import ArrayCache
-from .renewal import FiniteHorizonSolution, aligned_visits
+from .renewal import (
+    MAX_VISITS, TOLERANCE, FiniteHorizonSolution, aligned_visits, check_seconds,
+)
 
 #: Bump when the persisted propagation layout changes; stale entries then
 #: miss on the key and degrade to recomputation, never to bad numbers.
 RENEWAL_MEMO_FORMAT = 1
-
-#: Propagation cap and survival-mass tolerance, the defaults of the
-#: scalar solver (:class:`repro.sim.renewal.RenewalModel`).
-MAX_VISITS = 20_000
-TOLERANCE = 1e-12
 
 
 def _valid_resolution(u: np.ndarray, w: np.ndarray) -> bool:
@@ -100,8 +97,7 @@ class RenewalTask:
     def __post_init__(self) -> None:
         if self.cells_per_line <= 0:
             raise ValueError("cells_per_line must be positive")
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
+        check_seconds("interval", self.interval)
         if not 1 <= self.threshold <= self.t_ecc:
             raise ValueError("need 1 <= threshold <= t_ecc")
 
@@ -272,8 +268,7 @@ def finite_horizon_batch(
     chunks).
     """
     tasks = list(tasks)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    check_seconds("horizon", horizon)
 
     solutions: list[FiniteHorizonSolution | None] = [None] * len(tasks)
     groups: dict[tuple[int, int, int, int], list[int]] = {}

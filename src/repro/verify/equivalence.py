@@ -23,13 +23,14 @@ Two regimes, because the models answer different questions:
   or a UE resets them - are exactly a renewal process when the policy is
   a pure threshold rule with no detector, no demand traffic, and no
   endurance.  We compare horizon totals for uncorrectables *and* scrub
-  write-backs against the *exact* finite-horizon expectation from
-  :meth:`repro.sim.renewal.RenewalModel.finite_horizon`, which resolves
-  the discrete renewal recursion over aligned visits instead of
-  approximating by ``rate x horizon`` (that approximation carries up to
-  half a renewal cycle of bias per line and used to force a 12% floor on
-  the band).  With the transient gone the only residual is sampling
-  noise, so the band is the pure relative ladder ``z / sqrt(expected)``
+  write-backs against the *exact* finite-horizon expectation from the
+  production kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`,
+  one call for the whole grid), which resolves the discrete renewal
+  recursion over aligned visits instead of approximating by ``rate x
+  horizon`` (that approximation carries up to half a renewal cycle of
+  bias per line and used to force a 12% floor on the band).  With the
+  transient gone the only residual is sampling noise, so the band is
+  the pure relative ladder ``z / sqrt(expected)``
   (see :data:`RENEWAL_REL_Z`): UEs are rare per line and Poisson-like,
   and write-back counts are renewal counts whose cycle-length dispersion
   is sub-Poisson, so Poisson width bounds both.
@@ -279,16 +280,19 @@ def renewal_equivalence(
         for interval, t in grid
     ]
     results = run_many(specs, jobs=jobs)
+    solutions = finite_horizon_batch(
+        (
+            RenewalTask(
+                crossing_distribution_for(result.config),
+                result.config.cells_per_line, interval, t, t - 1,
+            )
+            for (interval, t), result in zip(grid, results)
+        ),
+        horizon,
+    )
 
     rows = []
-    for (interval, t), result in zip(grid, results):
-        solver = RenewalModel(
-            crossing_distribution_for(result.config),
-            result.config.cells_per_line,
-        )
-        solution = solver.finite_horizon(
-            interval, t_ecc=t, threshold=t - 1, horizon=horizon
-        )
+    for (interval, t), result, solution in zip(grid, results, solutions):
         label = f"T={interval / units.HOUR:g}h t={t}"
         for metric, observed, per_line in (
             ("uncorrectable", float(result.stats.uncorrectable), solution.expected_ue),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.fleet import (
     load_journal,
     run_campaign,
 )
+from repro.fleet.checkpoint import device_records
+from repro.fleet.report import DeviceRecord
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_experiment
 from repro.core import threshold_scrub
@@ -127,7 +130,10 @@ class TestResume:
         run_campaign(spec, checkpoint=journal, stop_after=1)
         with open(journal, "a") as handle:
             handle.write('{"kind": "device", "index": 1, "lot": "a"}\n')
-        with pytest.raises(CheckpointError, match="device 1 has no 'seed' field"):
+        with pytest.raises(
+            CheckpointError,
+            match=re.escape(f"{journal} device 1 is malformed: field seed: is required"),
+        ):
             run_campaign(spec, checkpoint=journal, resume=True)
 
     def test_resume_of_finished_campaign_executes_nothing(self, tmp_path):
@@ -145,6 +151,14 @@ class TestResume:
         header, devices = load_journal(journal, expected_hash=spec.content_hash())
         assert header["name"] == "hetero"
         assert set(devices) == {0, 1, 2}
+
+    def test_journal_records_round_trip(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        run_campaign(hetero_spec(devices=2), checkpoint=journal)
+        records = device_records(journal, load_journal(journal)[1])
+        for record in records.values():
+            data = json.loads(json.dumps(record.to_dict()))
+            assert DeviceRecord.from_dict(data) == record
 
 
 class TestGuards:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +21,9 @@ from repro.fleet.checkpoint import (
 )
 from repro.fleet.report import DeviceRecord
 
-HASH = "a" * 64
+from ..strategies import JSON_VALUES
 
-#: Arbitrary JSON documents, non-finite floats included (``json`` reads
-#: and writes ``NaN``/``Infinity``).
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
-)
+HASH = "a" * 64
 
 
 #: Device records holding every field, each with arbitrary JSON in it.
@@ -139,7 +133,8 @@ class TestCorruption:
         path = journal_with(tmp_path, [{"index": 0, "lot": "vendor-a"}])
         _, devices = load_journal(path, expected_hash=HASH)
         with pytest.raises(
-            CheckpointError, match=f"{path} device 0 has no 'seed' field"
+            CheckpointError,
+            match=re.escape(f"{path} device 0 is malformed: field seed: is required"),
         ):
             device_records(path, devices)
 
@@ -164,7 +159,8 @@ class TestCorruption:
         path = journal_with(tmp_path, [{**record, field: value}])
         _, devices = load_journal(path, expected_hash=HASH)
         with pytest.raises(
-            CheckpointError, match=f"device 3 is malformed: field '{field}'"
+            CheckpointError,
+            match=re.escape(f"{path} device 3 is malformed: field {field}: expected"),
         ):
             device_records(path, devices)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -122,7 +123,7 @@ class TestInvariants:
 class TestDeviceRecord:
     def test_round_trip(self):
         original = record(3, ue=2, energy=0.123456789)
-        clone = DeviceRecord.from_dict(original.to_dict())
+        clone = DeviceRecord.from_dict(json.loads(json.dumps(original.to_dict())))
         assert clone == original
 
     def test_normalized_is_value_identity(self):

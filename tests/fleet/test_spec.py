@@ -15,6 +15,8 @@ from repro import units
 from repro.fleet import FleetSpec, Lot, LotParameter
 from repro.sim.config import SimulationConfig
 
+from ..strategies import JSON_VALUES
+
 
 def base_config(**overrides) -> SimulationConfig:
     defaults = dict(
@@ -68,7 +70,7 @@ class TestLotParameter:
 
     def test_round_trip(self):
         p = LotParameter(mean=1.1, spread=0.2, low=0.0)
-        assert LotParameter.from_dict(p.to_dict()) == p
+        assert LotParameter.from_dict(json.loads(json.dumps(p.to_dict()))) == p
 
 
 class TestLotValidation:
@@ -348,15 +350,6 @@ class TestLotPolicies:
 
 SMOKE_SPEC = json.loads(
     (Path(__file__).resolve().parents[2] / "examples/specs/fleet_smoke.json").read_text()
-)
-
-#: Arbitrary JSON values, non-finite floats included (``json`` reads
-#: ``NaN``/``Infinity``).
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
 )
 
 #: Every field the format defines, addressed as (lot index or None, block,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -106,7 +107,7 @@ class TestValidationAndSerialization:
             embodied_kg_per_gib=0.05,
             amortization_years=3.0,
         )
-        assert CostModel.from_dict(model.to_dict()) == model
+        assert CostModel.from_dict(json.loads(json.dumps(model.to_dict()))) == model
 
     def test_from_dict_defaults_missing_keys(self):
         assert CostModel.from_dict({}) == CostModel()

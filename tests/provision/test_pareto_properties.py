@@ -20,6 +20,8 @@ no deadline), so these runs are deterministic and CI-safe.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +127,12 @@ class TestFrontierLaws:
                     ParetoPoint(key="x", values=(2.0, 1.0)),
                 ]
             )
+
+    @given(points=points_strategy())
+    def test_points_round_trip_through_json(self, points):
+        for point in points:
+            data = json.loads(json.dumps(point.to_dict()))
+            assert ParetoPoint.from_dict(data) == point
 
     def test_nan_axis_rejected(self):
         with pytest.raises(ParetoError):

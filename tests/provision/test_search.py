@@ -24,6 +24,7 @@ from repro.provision import (
 from repro.provision import search
 from repro.verify.equivalence import scalar_finite_horizon
 
+from ..strategies import JSON_VALUES
 from .conftest import make_spec, small_space
 
 
@@ -77,7 +78,7 @@ class TestCandidate:
         candidate = Candidate(
             policy="partial", interval=7200.0, strength=4, threshold=2
         )
-        assert Candidate.from_dict(candidate.to_dict()) == candidate
+        assert Candidate.from_dict(json.loads(json.dumps(candidate.to_dict()))) == candidate
 
 
 class TestCandidateSpace:
@@ -106,17 +107,9 @@ class TestCandidateSpace:
 
     def test_round_trip(self):
         space = small_space(thresholds=(None, 1))
-        assert CandidateSpace.from_dict(space.to_dict()) == space
+        assert CandidateSpace.from_dict(json.loads(json.dumps(space.to_dict()))) == space
 
 
-#: Arbitrary JSON values, non-finite floats included (``json`` reads
-#: ``NaN``/``Infinity``).
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
-)
 CANDIDATE = {
     "policy": "threshold",
     "interval": 3600.0,
@@ -403,6 +396,7 @@ class TestReportArtifacts:
         report = ProvisionSearch(make_spec(), small_space()).run()
         data = json.loads(report.to_json())
         rehydrated = ProvisionReport.from_dict(data)
+        assert rehydrated == report
         assert rehydrated.to_dict() == report.to_dict()
 
     def test_rehydrated_report_needs_spec_attached(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -95,7 +96,8 @@ class TestConstraints:
             fit_limit=1e9, min_availability=0.9,
             confidence=0.9, availability_margin=0.05,
         )
-        assert ScreenConstraints.from_dict(constraints.to_dict()) == constraints
+        data = json.loads(json.dumps(constraints.to_dict()))
+        assert ScreenConstraints.from_dict(data) == constraints
 
 
 class TestRegimeReasons:
@@ -212,7 +214,7 @@ class TestClassification:
 
     def test_plan_round_trips_through_dict(self, spec, constraints):
         plan = plan_screen(spec, constraints)
-        assert ScreenPlan.from_dict(plan.to_dict()).to_dict() == plan.to_dict()
+        assert ScreenPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
     def test_surrogate_numbers_are_sane(self, spec, constraints):
         plan = plan_screen(spec, constraints)

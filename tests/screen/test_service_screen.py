@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.screen import run_screened_campaign
@@ -51,7 +53,7 @@ class TestSubsetShards:
             CampaignShard(shard_id=0, start=0, stop=9, devices=(1, 5))
         shard = CampaignShard(shard_id=0, start=1, stop=6, devices=(1, 5))
         assert shard.count == 2
-        assert CampaignShard.from_dict(shard.to_dict()) == shard
+        assert CampaignShard.from_dict(json.loads(json.dumps(shard.to_dict()))) == shard
 
 
 class TestScreenedSubmit:

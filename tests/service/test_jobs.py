@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.service import (
 )
 from repro.sim.config import SimulationConfig
 
-from ..fleet.test_checkpoint import JSON_VALUES
+from ..strategies import JSON_VALUES
 
 
 def make_spec(devices=6, seed=2012) -> FleetSpec:
@@ -141,9 +142,12 @@ class TestMalformedJournal:
             record = {"kind": "device", "index": shard.start, "lot": "a"}
             handle.write(json.dumps(record) + "\n")
         assert not campaign.shard_complete(shard)
-        with pytest.raises(CheckpointError, match="has no 'seed' field"):
+        message = re.escape(
+            f"{path} device {shard.start} is malformed: field seed: is required"
+        )
+        with pytest.raises(CheckpointError, match=message):
             campaign.shard_records(shard)
-        with pytest.raises(CheckpointError, match="has no 'seed' field"):
+        with pytest.raises(CheckpointError, match=message):
             campaign_status(campaign.root)
 
 

@@ -47,6 +47,11 @@ class TestHeartbeat:
         # No temp litter from the atomic rewrite.
         assert [p for p in tmp_path.iterdir()] == [path]
 
+    def test_round_trip(self, tmp_path):
+        lease = try_acquire(tmp_path / "lease.json", "w1")
+        assert Lease.from_dict(json.loads(json.dumps(lease.to_dict()))) == lease
+        assert read_lease(tmp_path / "lease.json") == lease
+
     def test_corrupt_lease_reads_as_none(self, tmp_path):
         path = tmp_path / "lease.json"
         path.write_text("{torn")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.service import CampaignShard, plan_shards
@@ -40,5 +42,5 @@ class TestPlanShards:
 
     def test_round_trip(self):
         shard = CampaignShard(shard_id=2, start=4, stop=9)
-        assert CampaignShard.from_dict(shard.to_dict()) == shard
+        assert CampaignShard.from_dict(json.loads(json.dumps(shard.to_dict()))) == shard
         assert shard.name == "shard-0002"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import units
@@ -52,6 +54,9 @@ class TestBasics:
             model.solve(1.0, 4, 5)
         with pytest.raises(ValueError):
             RenewalModel(CrossingDistribution(CellSpec()), 0)
+        for interval in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"interval .* got {interval}"):
+                model.solve(interval, 4, 3)
 
 
 class TestAgainstMonteCarlo:
@@ -122,6 +127,8 @@ class TestFiniteHorizon:
             model.finite_horizon(units.HOUR, 4, 3, 0.0)
         with pytest.raises(ValueError):
             model.finite_horizon(units.HOUR, 4, 5, units.DAY)
+        with pytest.raises(ValueError, match="horizon .* got nan"):
+            model.finite_horizon(units.HOUR, 4, 3, math.nan)
 
     def test_long_horizon_recovers_steady_state_rates(self, model):
         T = units.HOUR

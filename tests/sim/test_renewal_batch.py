@@ -18,6 +18,8 @@ store underneath is tested once, for both caches, in ``test_cache.py``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -170,6 +172,11 @@ class TestKernelParity:
             _task(interval=-1.0)
         with pytest.raises(ValueError):
             _task(t_ecc=2, threshold=3)
+        with pytest.raises(ValueError, match="interval .* got nan"):
+            _task(interval=math.nan)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"horizon .* got {horizon}"):
+                finite_horizon_batch([_task()], horizon=horizon)
 
     def test_empty_task_list(self):
         assert finite_horizon_batch([], horizon=units.DAY) == []

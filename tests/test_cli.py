@@ -148,7 +148,12 @@ class TestBadGlobalFlags:
     )
     @pytest.mark.parametrize(
         "command",
-        [["sweep", "--intervals", "3600"], ["trace", "--samples", "4"], ["drift-curve"]],
+        [
+            ["sweep", "--intervals", "3600"],
+            ["trace", "--samples", "4"],
+            ["drift-curve"],
+            ["lifetime"],
+        ],
     )
     def test_non_finite_flag_exits_naming_it(self, flags, field, command, tmp_path):
         out = ["--out", str(tmp_path)] if command[0] == "trace" else []
@@ -170,7 +175,50 @@ class TestBadGlobalFlags:
             main(argv)
         assert str(exit_info.value) == f"pcm-scrub: {message}"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lifetime", "--interval", "nan"],
+             "--interval must be positive and finite seconds, got nan"),
+            (["lifetime", "--interval", "-5"],
+             "--interval must be positive and finite seconds, got -5.0"),
+            (["lifetime", "--demand-writes-per-hour", "nan"],
+             "--demand-writes-per-hour must be non-negative and finite, got nan"),
+            (["lifetime", "--demand-writes-per-hour", "-1"],
+             "--demand-writes-per-hour must be non-negative and finite, got -1.0"),
+            (["lifetime", "--endurance", "0"],
+             "--endurance must be positive and finite, got 0.0"),
+            (["lifetime", "--endurance", "nan"],
+             "--endurance must be positive and finite, got nan"),
+            (["--temperature", "nan", "lifetime"],
+             "temperature_k must be positive and finite kelvin, got nan"),
+            (["--temperature", "0", "lifetime"],
+             "temperature_k must be positive and finite kelvin, got 0.0"),
+            (["compare", "--interval", "nan"],
+             "--interval must be positive and finite seconds, got nan"),
+            (["compare", "--interval", "-1"],
+             "--interval must be positive and finite seconds, got -1.0"),
+            (["headline", "--interval", "nan"],
+             "--interval must be positive and finite seconds, got nan"),
+            (["export", "--interval", "nan", "out.csv"],
+             "--interval must be positive and finite seconds, got nan"),
+            (["sweep", "--intervals", "3600", "inf"],
+             "--intervals must be positive and finite seconds, got inf"),
+            (["trace", "--interval", "-1"],
+             "--interval must be positive and finite seconds, got -1.0"),
+        ],
+    )
+    def test_bad_scrub_flag_exits_naming_it(self, argv, message, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)  # export/trace would write here
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--lines", "512", *argv])
+        assert str(exit_info.value) == f"pcm-scrub: {message}"
+
     def test_non_finite_interval_raises(self):
-        with pytest.raises(ValueError, match="interval"):
+        with pytest.raises(SystemExit) as exit_info:
             main([*FAST, "--jobs", "1", "sweep", "--intervals", "nan"])
+        assert str(exit_info.value) == (
+            "pcm-scrub: --intervals must be positive and finite seconds, got nan"
+        )
 
