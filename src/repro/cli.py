@@ -1347,12 +1347,21 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in {"compare", "headline", "sweep", "trace", "lifetime", "export"}:
-        # Scrub intervals (``watch --interval`` is a poll period).
+    if args.command in {
+        "compare", "headline", "sweep", "trace", "lifetime", "export", "watch"
+    }:
+        # Scrub intervals, and ``watch``'s poll period.
         for seconds in getattr(args, "intervals", None) or [args.interval]:
             _require(math.isfinite(seconds) and seconds > 0,
                      "--intervals" if args.command == "sweep" else "--interval",
                      "positive and finite seconds", seconds)
+    # The service's deadlines: ``watch --timeout`` and every ``--lease-timeout``.
+    for name in ("timeout", "lease_timeout"):
+        seconds = getattr(args, name, None)
+        if seconds is not None:
+            _require(math.isfinite(seconds) and seconds >= 0,
+                     "--" + name.replace("_", "-"),
+                     "non-negative and finite seconds", seconds)
     return COMMANDS[args.command](args)
 
 

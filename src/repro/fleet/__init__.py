@@ -9,9 +9,10 @@ lots, racked at different temperatures - see under this policy?"
 * :mod:`repro.fleet.spec` - declarative campaign descriptions
   (:class:`FleetSpec`, :class:`Lot`, :class:`LotParameter`), with
   deterministic per-device parameter sampling and JSON round-tripping;
-* :mod:`repro.fleet.campaign` - :class:`CampaignRunner`, which fans
-  devices out over the :func:`repro.sim.parallel.run_many` pool with a
-  durable JSONL checkpoint journal and bit-identical resume;
+* :mod:`repro.fleet.campaign` - :class:`CampaignRunner`, which sends
+  every pending device through one :func:`repro.sim.parallel.run_many`
+  pool, journaling each device to a durable JSONL checkpoint as it
+  completes, with bit-identical resume;
 * :mod:`repro.fleet.checkpoint` - the journal format;
 * :mod:`repro.fleet.report` - FIT / availability / survival / energy
   aggregation with internal cross-checks

@@ -2,14 +2,16 @@
 
 :class:`CampaignRunner` turns a :class:`repro.fleet.spec.FleetSpec` into
 per-device :class:`repro.sim.parallel.RunSpec` work units and executes
-them in batches over :func:`repro.sim.parallel.run_many` - inheriting
-the pool's bit-identical-for-any-``jobs`` guarantee and the persistent
+every pending one in a single :func:`repro.sim.parallel.run_many` call -
+one worker pool per run - inheriting the pool's
+bit-identical-for-any-``jobs`` guarantee and the persistent
 crossing-distribution cache (devices from the same lot corner share a
 tabulation).
 
-With a checkpoint path, every completed device is appended to the JSONL
-journal (:mod:`repro.fleet.checkpoint`) before the next batch starts,
-so a killed campaign loses at most one in-flight batch.  ``resume=True``
+With a checkpoint path, each device is appended to the JSONL journal
+(:mod:`repro.fleet.checkpoint`) as soon as its result reaches the
+parent, in completion order, so a killed campaign loses only the
+devices still in flight.  ``resume=True``
 validates the journal's spec hash, skips every journaled device, and -
 crucially - aggregates *from the journal records*, so an interrupted and
 resumed campaign produces a report bit-identical to an uninterrupted
@@ -27,15 +29,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..sim.parallel import run_many
+from ..sim.results import RunResult
 from .checkpoint import CheckpointError, append_device, append_pending, device_records, open_journal
 from .report import DeviceRecord, FleetReport, aggregate
 from .spec import FleetSpec
 
 logger = logging.getLogger(__name__)
-
-#: Devices dispatched per pool round: enough to amortize pool start-up,
-#: small enough that a kill between batches forfeits little work.
-BATCH_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -165,23 +164,22 @@ class CampaignRunner:
         if self.stop_after is not None:
             pending = pending[: self.stop_after]
 
-        executed = 0
-        batch_size = max(1, self.jobs * BATCH_PER_JOB)
-        for start in range(0, len(pending), batch_size):
-            batch = pending[start : start + batch_size]
-            devices = [spec.device_spec(index) for index in batch]
-            workload = spec.workload()
-            specs = [
-                device.run_spec(*spec.policy_for(device.lot), workload)
-                for device in devices
-            ]
-            results = run_many(specs, jobs=self.jobs)
-            for device, result in zip(devices, results):
-                record = DeviceRecord.from_result(device, result).normalized()
-                if self.checkpoint is not None:
-                    append_device(self.checkpoint, record.to_dict())
-                done[device.index] = record
-                executed += 1
+        devices = [spec.device_spec(index) for index in pending]
+        workload = spec.workload()
+        specs = [
+            device.run_spec(*spec.policy_for(device.lot), workload)
+            for device in devices
+        ]
+
+        def journal(position: int, result: RunResult) -> None:
+            device = devices[position]
+            record = DeviceRecord.from_result(device, result).normalized()
+            if self.checkpoint is not None:
+                append_device(self.checkpoint, record.to_dict())
+            done[device.index] = record
+
+        run_many(specs, jobs=self.jobs, on_result=journal)
+        executed = len(pending)
 
         completed = sum(1 for i in targets if i in done)
         wall = _time.perf_counter() - started

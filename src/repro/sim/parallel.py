@@ -7,10 +7,10 @@ bit-identical to serial execution for any ``N``.
 
 The unit of work is a picklable :class:`RunSpec` (policy factory *name*
 plus kwargs, rather than a built policy, so nothing capturing closures or
-codec state crosses the process boundary).  Before forking, ``run_many``
-pre-warms the crossing-distribution disk cache in the parent so spawn
-workers load the tabulation from ``~/.cache/repro`` instead of re-paying
-it once per process (see :mod:`repro.sim.runner`).
+codec state crosses the process boundary).  Before it starts the pool,
+``run_many`` pre-warms the crossing-distribution disk cache in the parent
+so spawned workers load the tabulation from ``~/.cache/repro`` instead of
+re-paying it once per process (see :mod:`repro.sim.runner`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import time as _time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
@@ -107,7 +107,10 @@ def _execute_spec(spec: RunSpec) -> RunResult:
 
 
 def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], jobs: int = 1
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    jobs: int = 1,
+    on_result: Callable[[int, R], None] | None = None,
 ) -> list[R]:
     """Order-preserving map over a spawn-context process pool.
 
@@ -116,18 +119,31 @@ def parallel_map(
     picklable (``fn`` should be a module-level function).  A worker failure
     raises :class:`RuntimeError` naming the failing item instead of
     hanging the pool.
+
+    ``on_result(index, result)``, when given, runs in the calling process
+    once per item as soon as that item's result is in: in item order
+    inline, in completion order over the pool.  Whatever it raises
+    propagates as itself.  Leaving early - a worker failure, an
+    exception from ``on_result``, a ``KeyboardInterrupt`` - cancels every
+    item not yet started and waits only for those already running.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    context = multiprocessing.get_context("spawn")
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(fn, item) for item in items]
         results: list[R] = []
-        for index, future in enumerate(futures):
+        for index, item in enumerate(items):
+            results.append(fn(item))
+            if on_result is not None:
+                on_result(index, results[-1])
+        return results
+    context = multiprocessing.get_context("spawn")
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)), mp_context=context)
+    try:
+        futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
+        done: dict[int, R] = {}
+        for future in as_completed(futures):
+            index = futures[future]
             try:
-                results.append(future.result())
+                result = future.result()
             except BrokenProcessPool as exc:
                 raise RuntimeError(
                     f"parallel worker died executing item {index}: "
@@ -138,15 +154,25 @@ def parallel_map(
                     f"parallel worker failed on item {index} "
                     f"({items[index]!r}): {exc}"
                 ) from exc
-    return results
+            done[index] = result
+            if on_result is not None:
+                on_result(index, result)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return [done[index] for index in range(len(items))]
 
 
-def run_many(specs: Sequence[RunSpec], jobs: int = 1) -> list[RunResult]:
+def run_many(
+    specs: Sequence[RunSpec],
+    jobs: int = 1,
+    on_result: Callable[[int, RunResult], None] | None = None,
+) -> list[RunResult]:
     """Execute specs (possibly) in parallel; results keep spec order.
 
     Bit-identical to serial execution for any ``jobs``: every stream of
     randomness is derived from each spec's config seed, never from worker
-    identity or scheduling order.
+    identity or scheduling order.  ``on_result`` is passed to
+    :func:`parallel_map`.
     """
     specs = list(specs)
     if not specs:
@@ -158,9 +184,7 @@ def run_many(specs: Sequence[RunSpec], jobs: int = 1) -> list[RunResult]:
         # the tabulation per process.
         for spec in specs:
             crossing_distribution_for(spec.config)
-        results = parallel_map(_execute_spec, specs, jobs=jobs)
-    else:
-        results = [spec.run() for spec in specs]
+    results = parallel_map(_execute_spec, specs, jobs=jobs, on_result=on_result)
     wall = _time.perf_counter() - started
     serial = sum(result.runtime_seconds for result in results)
     logger.info(

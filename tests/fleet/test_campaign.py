@@ -17,7 +17,7 @@ from repro.fleet import (
     load_journal,
     run_campaign,
 )
-from repro.fleet.checkpoint import device_records
+from repro.fleet.checkpoint import append_device, device_records
 from repro.fleet.report import DeviceRecord
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import run_experiment
@@ -85,26 +85,54 @@ class TestSingleDeviceEquivalence:
 
 
 class TestPoolInvariance:
-    def test_jobs_do_not_change_the_report(self):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_jobs_do_not_change_the_report(self, jobs):
         spec = hetero_spec()
         serial = run_campaign(spec, jobs=1)
-        parallel = run_campaign(spec, jobs=2)
-        assert report_json(serial) == report_json(parallel)
+        pooled = run_campaign(spec, jobs=jobs)
+        assert report_json(serial) == report_json(pooled)
 
 
 class TestResume:
-    def test_interrupted_resume_is_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_interrupted_resume_is_bit_identical(self, tmp_path, jobs):
         spec = hetero_spec()
-        straight = run_campaign(spec, jobs=2)
+        straight = run_campaign(spec, jobs=1)
 
         journal = tmp_path / "campaign.jsonl"
-        partial = run_campaign(spec, jobs=2, checkpoint=journal, stop_after=3)
+        partial = run_campaign(spec, jobs=jobs, checkpoint=journal, stop_after=3)
         assert not partial.finished
         assert partial.report is None
         assert partial.completed == 3
 
-        resumed = run_campaign(spec, jobs=2, checkpoint=journal, resume=True)
+        resumed = run_campaign(spec, jobs=jobs, checkpoint=journal, resume=True)
         assert resumed.finished
+        assert resumed.executed == spec.devices - 3
+        assert report_json(resumed) == report_json(straight)
+
+    def test_journal_failure_mid_dispatch_surfaces_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        spec = hetero_spec()
+        straight = run_campaign(spec, jobs=1)
+        journal = tmp_path / "campaign.jsonl"
+        appends = 0
+
+        def fail_fourth(path, record):
+            nonlocal appends
+            appends += 1
+            if appends == 4:
+                raise OSError("journal disk full")
+            append_device(path, record)
+
+        monkeypatch.setattr("repro.fleet.campaign.append_device", fail_fourth)
+        with pytest.raises(OSError, match="journal disk full"):
+            run_campaign(spec, jobs=2, checkpoint=journal)
+        monkeypatch.undo()
+
+        _, devices = load_journal(journal, expected_hash=spec.content_hash())
+        assert len(devices) == 3
+        resumed = run_campaign(spec, jobs=2, checkpoint=journal, resume=True)
         assert resumed.executed == spec.devices - 3
         assert report_json(resumed) == report_json(straight)
 

@@ -10,6 +10,8 @@ own behaviours are tested once, for both caches, in ``test_cache.py``.
 from __future__ import annotations
 
 import pickle
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,12 +102,48 @@ class TestSweepParity:
             assert _fingerprint(a) == _fingerprint(b)
 
 
+def _mark_then_fail_first(item: tuple[int, str]) -> int:
+    """Leave a marker for each started item; item 0 fails, the rest take 0.3 s."""
+    index, directory = item
+    (Path(directory) / f"{index}.started").touch()
+    if index == 0:
+        raise ValueError("item 0 fails")
+    time.sleep(0.3)
+    return index
+
+
 class TestParallelMap:
     def test_inline_fallback_and_order(self):
         assert parallel_map(abs, [-3, 1, -2], jobs=1) == [3, 1, 2]
 
     def test_pool_preserves_order(self):
         assert parallel_map(abs, [-3, 1, -2, -9], jobs=2) == [3, 1, 2, 9]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_result_sees_each_item_once(self, jobs):
+        seen = []
+        results = parallel_map(
+            abs, [-3, 1, -2, -9, 5], jobs=jobs,
+            on_result=lambda index, result: seen.append((index, result)),
+        )
+        assert results == [3, 1, 2, 9, 5]
+        assert sorted(seen) == list(enumerate(results))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_result_error_propagates_as_itself(self, jobs):
+        def journal_full(index, result):
+            raise OSError("journal full")
+
+        with pytest.raises(OSError, match="journal full"):
+            parallel_map(abs, [-3, 1, -2], jobs=jobs, on_result=journal_full)
+
+    def test_failure_cancels_queued_items(self, tmp_path):
+        items = [(index, str(tmp_path)) for index in range(24)]
+        with pytest.raises(RuntimeError, match="item 0 fails"):
+            parallel_map(_mark_then_fail_first, items, jobs=2)
+        # Only the items already running or handed to a worker start; the
+        # queued rest are cancelled rather than run before the error.
+        assert len(list(tmp_path.glob("*.started"))) < len(items) // 2
 
 
 class TestDiskCache:

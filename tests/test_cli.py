@@ -215,6 +215,42 @@ class TestBadGlobalFlags:
             main(["--lines", "512", *argv])
         assert str(exit_info.value) == f"pcm-scrub: {message}"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["watch", "camp", "--interval", "-1"],
+             "--interval must be positive and finite seconds, got -1.0"),
+            (["watch", "camp", "--interval", "0"],
+             "--interval must be positive and finite seconds, got 0.0"),
+            (["watch", "camp", "--interval", "nan"],
+             "--interval must be positive and finite seconds, got nan"),
+            (["watch", "camp", "--timeout", "nan"],
+             "--timeout must be non-negative and finite seconds, got nan"),
+            (["watch", "camp", "--timeout", "-1"],
+             "--timeout must be non-negative and finite seconds, got -1.0"),
+            (["watch", "camp", "--lease-timeout", "inf"],
+             "--lease-timeout must be non-negative and finite seconds, got inf"),
+            (["serve", "camp", "--lease-timeout", "nan"],
+             "--lease-timeout must be non-negative and finite seconds, got nan"),
+            (["status", "camp", "--lease-timeout", "-1"],
+             "--lease-timeout must be non-negative and finite seconds, got -1.0"),
+            (["repair", "camp", "--lease-timeout", "nan"],
+             "--lease-timeout must be non-negative and finite seconds, got nan"),
+        ],
+        ids=[
+            "watch-interval-negative", "watch-interval-zero", "watch-interval-nan",
+            "watch-timeout-nan", "watch-timeout-negative", "watch-lease-inf",
+            "serve-lease-nan", "status-lease-negative", "repair-lease-nan",
+        ],
+    )
+    def test_bad_service_time_flag_exits_naming_it(self, argv, message, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no campaign directory is read or made
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(exit_info.value) == f"pcm-scrub: {message}"
+        assert not (tmp_path / "camp").exists()
+
     def test_non_finite_interval_raises(self):
         with pytest.raises(SystemExit) as exit_info:
             main([*FAST, "--jobs", "1", "sweep", "--intervals", "nan"])
