@@ -33,10 +33,13 @@ checkpoint journal validates on resume.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,21 @@ class Lot:
                 f"lot {self.name!r}: unknown policy {self.policy!r}; "
                 f"available: {sorted(POLICY_FACTORIES)}"
             )
+
+    @property
+    def has_spread(self) -> bool:
+        """Whether its devices' parameters vary (some ``spread`` not zero).
+
+        Without spread every device of the lot draws the same parameters
+        and differs from its lot-mates only in its seed.
+        """
+        return any(
+            parameter is not None and parameter.spread != 0
+            for parameter in (
+                self.nu_mu_scale, self.nu_sigma_scale,
+                self.temperature_k, self.endurance_mean,
+            )
+        )
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -289,16 +307,28 @@ class FleetSpec:
             counts[i] += 1
         return counts
 
+    @cached_property
+    def _lot_stops(self) -> tuple[int, ...]:
+        """Each lot's exclusive end index in the block layout, computed once."""
+        return tuple(itertools.accumulate(self.lot_counts()))
+
+    def __getstate__(self) -> dict:
+        # The cached lot boundaries are derived; leave them out so a
+        # pickled spec is the same whether or not they were computed.
+        state = dict(self.__dict__)
+        state.pop("_lot_stops", None)
+        return state
+
+    def lot_ranges(self) -> tuple[range, ...]:
+        """Each lot's block of device indices, in lot order."""
+        stops = self._lot_stops
+        return tuple(map(range, (0, *stops[:-1]), stops))
+
     def lot_of(self, index: int) -> Lot:
         """The lot device ``index`` belongs to (devices laid out in blocks)."""
         if not 0 <= index < self.devices:
             raise IndexError(f"device index {index} outside fleet of {self.devices}")
-        cumulative = 0
-        for lot, count in zip(self.lots, self.lot_counts()):
-            cumulative += count
-            if index < cumulative:
-                return lot
-        raise AssertionError("unreachable: lot_counts sums to devices")
+        return self.lots[bisect.bisect_right(self._lot_stops, index)]
 
     def lot_named(self, name: str) -> Lot:
         """The lot with this name (device records carry lot names)."""
@@ -309,11 +339,9 @@ class FleetSpec:
 
     def lot_indices(self, name: str) -> tuple[int, ...]:
         """Device indices apportioned to the named lot (block layout)."""
-        cumulative = 0
-        for lot, count in zip(self.lots, self.lot_counts()):
+        for lot, indices in zip(self.lots, self.lot_ranges()):
             if lot.name == name:
-                return tuple(range(cumulative, cumulative + count))
-            cumulative += count
+                return tuple(indices)
         raise KeyError(f"no lot named {name!r} in fleet {self.name!r}")
 
     # -- policy resolution ----------------------------------------------------

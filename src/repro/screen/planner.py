@@ -24,13 +24,22 @@ Classification is a pure function of ``(spec, constraints)``: device
 parameters are drawn from ``default_rng([seed, index])`` exactly as the
 campaign runner draws them, so the plan is independent of shard layout,
 ``--jobs``, or resume boundaries - the property the deterministic-
-classification tests pin.  In-regime devices are evaluated through the
+classification tests pin.
+
+The planner works per lot, then per distinct device point.  Every input
+of the regime check is a lot or base-config property, so it runs once,
+on the lot's first device; an out-of-regime lot escalates unsampled.  A
+lot without spread is one point: sampled once, solved once, classified
+once, its decision copied to each of its devices.  Only the devices of
+in-regime lots with spread are sampled one by one, and only they fan out
+over the process pool when ``jobs > 1``.  Points go through the
 grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
-- one call per lot-policy parameter group with vectorized Poisson
-predictive bounds - and ``jobs > 1`` fans contiguous device chunks over
-the process pool.  The per-device scalar recursion is the reference
-oracle (:func:`repro.verify.equivalence.scalar_finite_horizon`), run
-through the same :func:`classify` step by the ``surrogate_batch`` law.
+- one call per lot-policy parameter group, holding one task per device,
+which the kernel collapses to one row per distinct task - with
+vectorized Poisson predictive bounds.  The per-device scalar recursion
+is the reference oracle
+(:func:`repro.verify.equivalence.scalar_finite_horizon`), run through
+the same :func:`classify` step by the ``surrogate_batch`` law.
 
 The *FIT* constraint is a per-device budget on the capacity-scaled FIT
 (the same scaling as :attr:`repro.fleet.report.FleetReport.fit_scaled`).
@@ -394,55 +403,63 @@ def _chunk_bounds(devices: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _plan_chunk(payload) -> list[ScreenDecision]:
-    """Worker entry for the ``jobs > 1`` fan-out (must stay picklable)."""
-    return _plan_decisions(*payload)
+    """Worker entry for the ``jobs > 1`` fan-out (must stay picklable).
+
+    Samples each listed device of an in-regime lot with spread and
+    classifies it as its own point.
+    """
+    spec, constraints, indices = payload
+    return _classify_points(
+        spec, constraints, [((index,), spec.device_spec(index)) for index in indices]
+    )
 
 
-def _plan_decisions(
+def _classify_points(
     spec: FleetSpec,
     constraints: ScreenConstraints,
-    start: int,
-    stop: int,
+    points: Sequence[tuple[Sequence[int], DeviceSpec]],
 ) -> list[ScreenDecision]:
-    """Classify the contiguous device range ``[start, stop)``.
+    """Decisions for every index of in-regime ``(indices, device)`` points.
 
-    In-regime devices are grouped by their lot-effective threshold-policy
-    point ``(interval, strength, threshold, cells_per_line)`` - one
-    batched kernel call and one :func:`classify` pass per group.  Each
-    device's arithmetic is independent of its group-mates, so the
-    decisions do not depend on the chunking.
+    A point's indices are devices with its parameters, so they share its
+    task and its decision.  Points are grouped by their lot-effective
+    threshold-policy point ``(interval, strength, threshold,
+    cells_per_line)``: one kernel call per group, holding one task per
+    device index, and one :func:`classify` pass over the points.  A
+    device's verdict depends on its own solution only, so the decisions
+    do not depend on the grouping or the chunking.
     """
-    by_index: dict[int, ScreenDecision] = {}
-    groups: dict[tuple[float, int, int, int], list[tuple[int, DeviceSpec]]] = {}
-    for index in range(start, stop):
-        device = spec.device_spec(index)
-        reasons = regime_reasons(spec, device)
-        if reasons:
-            by_index[index] = ScreenDecision(
-                index=index, lot=device.lot,
-                classification=UNCERTAIN, reasons=reasons,
-            )
-            continue
+    groups: dict[tuple[float, int, int, int], list[tuple[Sequence[int], DeviceSpec]]] = {}
+    for indices, device in points:
         key = (*surrogate_point(spec, device.lot), device.config.cells_per_line)
-        groups.setdefault(key, []).append((index, device))
+        groups.setdefault(key, []).append((indices, device))
 
-    for (interval, strength, threshold, cells), entries in groups.items():
-        solutions = finite_horizon_batch(
-            [
-                RenewalTask(
-                    distribution=crossing_distribution_for(device.config),
-                    cells_per_line=cells,
-                    interval=interval,
-                    t_ecc=strength,
-                    threshold=threshold,
-                )
-                for _, device in entries
-            ],
-            spec.base_config.horizon,
+    decisions = []
+    for (interval, strength, threshold, cells), members in groups.items():
+        tasks: list[RenewalTask] = []
+        firsts = []
+        for indices, device in members:
+            task = RenewalTask(
+                distribution=crossing_distribution_for(device.config),
+                cells_per_line=cells,
+                interval=interval,
+                t_ecc=strength,
+                threshold=threshold,
+            )
+            firsts.append(len(tasks))
+            tasks += [task] * len(indices)
+        solutions = finite_horizon_batch(tasks, spec.base_config.horizon)
+        point_decisions = classify(
+            spec,
+            constraints,
+            [(indices[0], device) for indices, device in members],
+            [solutions[first] for first in firsts],
         )
-        for decision in classify(spec, constraints, entries, solutions):
-            by_index[decision.index] = decision
-    return [by_index[index] for index in range(start, stop)]
+        for (indices, _), decision in zip(members, point_decisions):
+            # Keyword copies: half the cost of ``dataclasses.replace``.
+            shared = vars(decision)
+            decisions += [ScreenDecision(**{**shared, "index": index}) for index in indices]
+    return decisions
 
 
 def plan_screen(
@@ -453,24 +470,44 @@ def plan_screen(
     """Classify every device of ``spec`` against ``constraints``.
 
     Pure and deterministic: the result depends only on the spec and the
-    constraints, not on ``jobs`` (contiguous chunks fan out over
-    :func:`repro.sim.parallel.parallel_map` and merge back in device
-    order).  Also publishes ``screen_*`` gauges into the process metrics
+    constraints, not on ``jobs``.  The regime check runs once per lot,
+    on its first device: an out-of-regime lot's devices escalate
+    unsampled, and a lot without spread is one sampled point whose
+    decision every device copies.  Only the devices of in-regime lots
+    with spread are sampled one by one, in contiguous chunks that fan
+    out over :func:`repro.sim.parallel.parallel_map` when ``jobs > 1``.
+    Also publishes ``screen_*`` gauges into the process metrics
     registry.
     """
     jobs = max(1, int(jobs))
-    if jobs > 1 and spec.devices > 1:
-        chunks = [
-            (spec, constraints, chunk_start, chunk_stop)
-            for chunk_start, chunk_stop in _chunk_bounds(spec.devices, jobs)
-        ]
-        decisions = [
-            decision
-            for chunk in parallel_map(_plan_chunk, chunks, jobs=jobs)
-            for decision in chunk
-        ]
-    else:
-        decisions = _plan_decisions(spec, constraints, 0, spec.devices)
+    decisions: list[ScreenDecision | None] = [None] * spec.devices
+    points: list[tuple[range, DeviceSpec]] = []
+    sampled: list[int] = []
+    for lot, indices in zip(spec.lots, spec.lot_ranges()):
+        if not indices:
+            continue
+        first = spec.device_spec(indices.start)
+        reasons = regime_reasons(spec, first)
+        if reasons:
+            for index in indices:
+                decisions[index] = ScreenDecision(
+                    index=index, lot=lot.name,
+                    classification=UNCERTAIN, reasons=reasons,
+                )
+        elif lot.has_spread:
+            sampled.extend(indices)
+        else:
+            points.append((indices, first))
+
+    chunks = [
+        (spec, constraints, sampled[chunk_start:chunk_stop])
+        for chunk_start, chunk_stop in _chunk_bounds(len(sampled), jobs)
+    ]
+    found = _classify_points(spec, constraints, points)
+    for chunk in parallel_map(_plan_chunk, chunks, jobs=jobs):
+        found += chunk
+    for decision in found:
+        decisions[decision.index] = decision
 
     plan = ScreenPlan(
         spec_hash=spec.content_hash(),
@@ -479,8 +516,8 @@ def plan_screen(
     )
     counts = plan.counts()
     GLOBAL_REGISTRY.gauge("screen_devices").set(plan.devices)
-    GLOBAL_REGISTRY.gauge("screen_surrogate").set(len(plan.surrogate_indices))
-    GLOBAL_REGISTRY.gauge("screen_escalated").set(len(plan.escalated))
+    GLOBAL_REGISTRY.gauge("screen_surrogate").set(plan.devices - counts[UNCERTAIN])
+    GLOBAL_REGISTRY.gauge("screen_escalated").set(counts[UNCERTAIN])
     GLOBAL_REGISTRY.gauge("screen_pass").set(counts[PASS])
     GLOBAL_REGISTRY.gauge("screen_fail").set(counts[FAIL])
     GLOBAL_REGISTRY.gauge("screen_uncertain").set(counts[UNCERTAIN])

@@ -4,8 +4,10 @@ The scalar solver (:meth:`repro.sim.renewal.RenewalModel.finite_horizon`)
 answers one ``(distribution, T, t, theta, horizon)`` question at a time
 with a pure-Python ``O(V^2)`` recursion - microseconds per point, but a
 million-device screen or a lot x candidate provisioning grid asks the
-same question tens of thousands of times.  This module batches the two
-expensive stages across a whole task list:
+same question tens of thousands of times.  This module first collapses
+equal tasks - same distribution content hash, interval, strength,
+threshold and cells per line - to one row, then batches the two
+expensive stages across the distinct rows:
 
 * **Propagation** - the per-cycle resolution vectors ``u_m`` / ``w_m``
   (probability a fresh cycle ends in a UE / write-back exactly at visit
@@ -26,14 +28,17 @@ strength, threshold, visits, tolerance)`` in :data:`PROPAGATIONS`, an
 :class:`~repro.sim.cache.ArrayCache` like the distribution cache
 (:mod:`repro.sim.runner`): an in-process LRU in front of the shared
 on-disk cache.  Zero-spread lots - the common case in screening fleets -
-collapse to one propagation per (lot, policy) however many devices they
-hold.
+collapse to one row, one memo lookup and at most one propagation per
+(lot, policy) however many devices they hold; every input task still
+gets its own solution, in input order.
 
 Consumers: :func:`repro.screen.planner.plan_screen` (one call per
-policy-parameter group) and :class:`repro.provision.search.ProvisionSearch`
-(one call per lot covering the whole candidate grid).  Batch telemetry
-lands in the process metrics registry as ``surrogate_batch_*`` gauges and
-the ``surrogate_memo`` counter group.
+policy-parameter group, one task per device) and
+:class:`repro.provision.search.ProvisionSearch` (one call per lot
+covering the whole candidate grid).  Batch telemetry lands in the
+process metrics registry as ``surrogate_batch_*`` gauges
+(``surrogate_batch_tasks`` counts the input tasks) and the
+``surrogate_memo`` counter group, which counts each distinct task once.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ def _valid_resolution(u: np.ndarray, w: np.ndarray) -> bool:
 #: a few KiB each - so the LRU is generous: a provisioning sweep touches
 #: ``lots x candidates`` unique keys, a screening fleet one per (lot,
 #: policy).  Its counters record where each request was satisfied:
-#: ``memory``, ``disk`` or ``computed``.  Duplicate keys inside one batch
-#: call count once - they share a single propagation.
+#: ``memory``, ``disk`` or ``computed``.  Equal tasks inside one batch
+#: call count once - they collapse to one row before any lookup.
 PROPAGATIONS = ArrayCache(
     "surrogate_memo",
     prefix="renewal",
@@ -260,19 +265,35 @@ def finite_horizon_batch(
 
     Drop-in for per-task :meth:`RenewalModel.finite_horizon` calls (same
     defaults, same :class:`FiniteHorizonSolution` rows, task order
-    preserved).  Tasks sharing a visit grid - equal ``(visits, t_ecc,
-    threshold, cells_per_line)`` - are stacked and evaluated together;
-    within a group, tasks with equal memo keys share one propagation.
-    Each row's arithmetic is independent of its group-mates, so results
-    do not depend on how a fleet is split across calls (or ``--jobs``
-    chunks).
+    preserved).  Equal tasks - same distribution content hash, interval,
+    ``t_ecc``, threshold and cells per line - are solved once and share
+    one solution.  The distinct tasks sharing a visit grid - equal
+    ``(visits, t_ecc, threshold, cells_per_line)`` - are stacked and
+    evaluated together.  Each row's arithmetic is independent of its
+    group-mates, so results do not depend on how a fleet is split across
+    calls (or ``--jobs`` chunks) or on how many duplicates it holds.
     """
     tasks = list(tasks)
     check_seconds("horizon", horizon)
 
-    solutions: list[FiniteHorizonSolution | None] = [None] * len(tasks)
+    # Collapse key -> row of ``distinct``; ``slots`` maps each task to its row.
+    rows: dict[tuple, int] = {}
+    distinct: list[RenewalTask] = []
+    slots = []
+    for task in tasks:
+        key = (
+            task.distribution.content_hash(), task.interval, task.t_ecc,
+            task.threshold, task.cells_per_line,
+        )
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(distinct)
+            distinct.append(task)
+        slots.append(row)
+
+    solutions: list[FiniteHorizonSolution | None] = [None] * len(distinct)
     groups: dict[tuple[int, int, int, int], list[int]] = {}
-    for i, task in enumerate(tasks):
+    for i, task in enumerate(distinct):
         visits = aligned_visits(horizon, task.interval)
         if visits == 0:
             solutions[i] = FiniteHorizonSolution(
@@ -290,7 +311,7 @@ def finite_horizon_batch(
         #: memo key -> member positions still waiting on a propagation.
         pending: dict[str, list[int]] = {}
         for pos, i in enumerate(members):
-            key = propagation_cache_key(tasks[i], n_prop, TOLERANCE)
+            key = propagation_cache_key(distinct[i], n_prop, TOLERANCE)
             if key in pending:
                 pending[key].append(pos)
                 continue
@@ -305,7 +326,7 @@ def finite_horizon_batch(
                 resolved[pos] = cached
 
         if pending:
-            rep_tasks = [tasks[members[positions[0]]] for positions in pending.values()]
+            rep_tasks = [distinct[members[positions[0]]] for positions in pending.values()]
             u2d, w2d = _propagate_batch(
                 [task.distribution for task in rep_tasks],
                 [task.interval for task in rep_tasks],
@@ -329,7 +350,7 @@ def finite_horizon_batch(
         n_ue, n_write, no_ue = _recursion_batch(stacked_u, stacked_w)
         for pos, i in enumerate(members):
             solutions[i] = FiniteHorizonSolution(
-                interval=tasks[i].interval,
+                interval=distinct[i].interval,
                 horizon=horizon,
                 visits=visits,
                 expected_ue=float(n_ue[pos]),
@@ -340,4 +361,4 @@ def finite_horizon_batch(
     GLOBAL_REGISTRY.gauge("surrogate_batch_tasks").set(len(tasks))
     GLOBAL_REGISTRY.gauge("surrogate_batch_groups").set(len(groups))
     GLOBAL_REGISTRY.gauge("surrogate_batch_propagations").set(propagated)
-    return solutions
+    return [solutions[row] for row in slots]

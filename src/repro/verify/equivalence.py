@@ -429,12 +429,12 @@ def surrogate_equivalence(
       x temperature grid, all points in one batched call so grouping,
       memo dedup, and zero-padding are exercised.  Each expectation must
       agree within :data:`SURROGATE_REL_TOL` relative.
-    * **Fleet screen** - :func:`repro.screen.planner.plan_screen` (with
-      the ``jobs`` fan-out) on an in-regime three-lot fleet against each
-      in-regime device's scalar solution run through the planner's own
-      :func:`~repro.screen.planner.classify` step: classifications must
-      match *exactly* (zero mismatches), surrogate expectations within
-      the same tolerance.
+    * **Fleet screen** - :func:`repro.screen.planner.plan_screen` on an
+      in-regime three-lot fleet without spread (one sampled point per
+      lot) against each device's scalar solution run through the
+      planner's own :func:`~repro.screen.planner.classify` step:
+      classifications must match *exactly* (zero mismatches), surrogate
+      expectations within the same tolerance.
 
     The expectation of every row is 0 observed divergence with the band
     ``[0, tol]`` (``[0, 0]`` for the classification row), so the rows

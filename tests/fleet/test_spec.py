@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,44 @@ class TestApportionment:
         assert [spec.lot_of(i).name for i in range(10)] == ["a"] * 5 + ["b"] * 5
         with pytest.raises(IndexError):
             spec.lot_of(10)
+
+    @given(
+        weights=st.lists(
+            st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=5
+        ),
+        devices=st.integers(min_value=1, max_value=60),
+    )
+    def test_lot_of_agrees_with_lot_indices(self, weights, devices):
+        spec = make_spec(
+            devices=devices,
+            lots=tuple(
+                Lot(name=f"lot{i}", weight=weight) for i, weight in enumerate(weights)
+            ),
+        )
+        owners = {
+            index: lot.name
+            for lot in spec.lots
+            for index in spec.lot_indices(lot.name)
+        }
+        assert sorted(owners) == list(range(devices))
+        assert [spec.lot_of(i).name for i in range(devices)] == [
+            owners[i] for i in range(devices)
+        ]
+        assert [len(r) for r in spec.lot_ranges()] == spec.lot_counts()
+
+    def test_cached_lot_bounds_leave_identity_alone(self):
+        spec = make_spec(
+            devices=10, lots=(Lot(name="a", weight=1), Lot(name="b", weight=2))
+        )
+        fresh = make_spec(
+            devices=10, lots=(Lot(name="a", weight=1), Lot(name="b", weight=2))
+        )
+        before = (pickle.dumps(spec), spec.content_hash())
+        spec.lot_of(9)
+        assert (pickle.dumps(spec), spec.content_hash()) == before
+        assert pickle.dumps(fresh) == before[0]
+        assert spec == fresh and pickle.loads(before[0]) == spec
+        assert pickle.loads(pickle.dumps(spec)).lot_of(9).name == "b"
 
     def test_counts_always_sum_to_devices(self):
         for devices in (1, 7, 13, 64):

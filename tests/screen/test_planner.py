@@ -6,10 +6,11 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.fleet import FleetSpec, Lot, LotParameter
 from repro.params import EnduranceSpec
 from repro.screen import (
     FAIL,
@@ -26,7 +27,10 @@ from repro.screen import (
     regime_reasons,
 )
 from repro.screen import planner
+from repro.screen.planner import classify, surrogate_point
 from repro.sim.config import SimulationConfig
+from repro.sim.renewal_batch import RenewalTask, finite_horizon_batch
+from repro.sim.runner import crossing_distribution_for
 from repro.verify.equivalence import scalar_finite_horizon
 
 from .conftest import make_constraints, make_spec
@@ -311,7 +315,161 @@ class TestBatchScalarEquivalence:
         assert self._classifications(batched) == self._classifications(scalar)
         assert batched.escalated == scalar.escalated
 
-    def test_jobs_do_not_change_the_plan(self, spec, constraints):
-        serial = plan_screen(spec, constraints)
-        fanned = plan_screen(spec, constraints, jobs=2)
-        assert fanned.to_dict() == serial.to_dict()
+    def test_jobs_do_not_change_the_plan(self, spec, constraints, monkeypatch):
+        # The fixture's lots have no spread, so it is planned in process;
+        # the second fleet's spread lot is what fans out over the pool.
+        spread = make_spec(lots=spec.lots[:1] + (SPREAD_LOT,))
+        sizes = spy_parallel_map(monkeypatch)
+        for fleet in (spec, spread):
+            serial = plan_screen(fleet, constraints)
+            fanned = plan_screen(fleet, constraints, jobs=2)
+            assert fanned.to_dict() == serial.to_dict()
+        assert max(sizes) == 2
+
+
+#: An in-regime lot whose devices each draw their own temperature.
+SPREAD_LOT = Lot(
+    name="warm-spread", weight=3,
+    temperature_k=LotParameter(316.0, 4.0, low=250.0),
+)
+
+
+def spy_parallel_map(monkeypatch) -> list[int]:
+    """Record the item count of every ``planner.parallel_map`` call."""
+    sizes: list[int] = []
+    real = planner.parallel_map
+
+    def spy(fn, items, jobs=1, **kwargs):
+        sizes.append(len(items))
+        return real(fn, items, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(planner, "parallel_map", spy)
+    return sizes
+
+
+def spy_device_spec(monkeypatch) -> list[int]:
+    """Record the index of every ``FleetSpec.device_spec`` call."""
+    sampled: list[int] = []
+    real = FleetSpec.device_spec
+
+    def spy(self, index):
+        sampled.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(FleetSpec, "device_spec", spy)
+    return sampled
+
+
+class TestPerLotPlanning:
+    """The planner samples one device per lot unless the lot has spread."""
+
+    def test_constant_fleet_starts_no_pool(self, spec, constraints, monkeypatch):
+        sizes = spy_parallel_map(monkeypatch)
+        plan_screen(spec, constraints, jobs=2)
+        assert max(sizes, default=0) <= 1
+
+    def test_constant_and_out_of_regime_lots_sample_their_first_device(
+        self, monkeypatch
+    ):
+        spec = make_spec(
+            devices=12,
+            lots=make_spec().lots + (
+                Lot(name="basic", weight=2, policy="basic",
+                    policy_kwargs={"interval": 3600.0}),
+            ),
+        )
+        sampled = spy_device_spec(monkeypatch)
+        plan = plan_screen(spec, make_constraints(spec))
+        assert sampled == [indices.start for indices in spec.lot_ranges()]
+        basic = [d for d in plan.decisions if d.lot == "basic"]
+        assert basic and all(
+            d.reasons == ("regime:policy:basic",) for d in basic
+        )
+
+    def test_spread_lot_samples_every_device(self, monkeypatch):
+        spec = make_spec(lots=(SPREAD_LOT,))
+        sampled = spy_device_spec(monkeypatch)
+        plan_screen(spec, make_constraints(spec))
+        assert sampled == [0, *range(spec.devices)]
+
+
+def reference_plan(spec: FleetSpec, constraints: ScreenConstraints) -> ScreenPlan:
+    """The plan built device by device, each through its own kernel call."""
+    decisions = []
+    for index in range(spec.devices):
+        device = spec.device_spec(index)
+        reasons = regime_reasons(spec, device)
+        if reasons:
+            decisions.append(ScreenDecision(
+                index=index, lot=device.lot,
+                classification=UNCERTAIN, reasons=reasons,
+            ))
+            continue
+        task = RenewalTask(
+            crossing_distribution_for(device.config),
+            device.config.cells_per_line,
+            *surrogate_point(spec, device.lot),
+        )
+        solutions = finite_horizon_batch([task], spec.base_config.horizon)
+        decisions += classify(spec, constraints, [(index, device)], solutions)
+    return ScreenPlan(
+        spec_hash=spec.content_hash(),
+        constraints=constraints,
+        decisions=tuple(decisions),
+    )
+
+
+@st.composite
+def mixed_fleets(draw) -> FleetSpec:
+    """Small fleets mixing constant, spread and out-of-regime lots.
+
+    Every fleet holds one in-regime lot with spread, the one whose
+    devices the planner samples one by one.
+    """
+    lots = []
+    kinds = ("constant", "spread", "tuned", "basic", "endurance", "detector")
+    others = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    for position, kind in enumerate(draw(st.permutations(["spread", *others]))):
+        kelvin = draw(st.sampled_from([300.0, 316.0, 330.0, 350.0]))
+        fields = {"name": f"{kind}-{position}", "weight": draw(st.integers(1, 4)),
+                  "temperature_k": LotParameter(kelvin, 0.0)}
+        if kind == "spread":
+            fields["temperature_k"] = LotParameter(
+                kelvin, draw(st.sampled_from([1.0, 4.0])), low=250.0
+            )
+            fields["nu_mu_scale"] = LotParameter(1.0, 0.05, low=0.0)
+        elif kind == "tuned":
+            fields["policy_kwargs"] = {"interval": 3600.0, "strength": 4, "threshold": 3}
+        elif kind == "basic":
+            fields.update(policy="basic", policy_kwargs={"interval": 3600.0})
+        elif kind == "endurance":
+            fields["endurance_mean"] = LotParameter(
+                1e6, draw(st.sampled_from([0.0, 1e5])), low=1.0
+            )
+        elif kind == "detector":
+            fields["policy_kwargs"] = {"with_detector": True}
+        lots.append(Lot(**fields))
+    return make_spec(
+        seed=draw(st.sampled_from([2012, 7])),
+        devices=draw(st.integers(1, 12)),
+        lots=tuple(lots),
+    )
+
+
+@settings(max_examples=20)
+@given(
+    spec=mixed_fleets(),
+    budget=st.sampled_from([2.0, 5.0, 20.0]),
+    min_availability=st.none() | st.sampled_from([0.2, 0.6]),
+)
+def test_plan_equals_the_per_device_reference(spec, budget, min_availability):
+    constraints = make_constraints(
+        spec, budget=budget, min_availability=min_availability
+    )
+    assert plan_screen(spec, constraints).to_dict() == (
+        reference_plan(spec, constraints).to_dict()
+    )
+    for lot, indices in zip(spec.lots, spec.lot_ranges()):
+        first = regime_reasons(spec, spec.device_spec(indices.start)) if indices else ()
+        for index in indices:
+            assert regime_reasons(spec, spec.device_spec(index)) == first, lot.name

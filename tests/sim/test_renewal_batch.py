@@ -26,6 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import units
+from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.params import CellSpec
 from repro.sim import renewal_batch
 from repro.sim.analytic import CrossingDistribution
@@ -44,6 +45,8 @@ from repro.sim.renewal_batch import (
 #: policy points and batching shapes, not over cell physics.
 DISTRIBUTION = CrossingDistribution(CellSpec())
 HOT = CrossingDistribution(CellSpec(), temperature_k=330.0)
+#: A second tabulation equal in content to ``DISTRIBUTION``.
+TWIN = CrossingDistribution(CellSpec())
 
 #: The batch kernel reproduces the scalar float ops up to summation
 #: order; the verify law pins 1e-9 and observed gaps sit around 1e-15.
@@ -180,6 +183,58 @@ class TestKernelParity:
 
     def test_empty_task_list(self):
         assert finite_horizon_batch([], horizon=units.DAY) == []
+
+
+# -- equal tasks -----------------------------------------------------------------
+
+
+def _distinct_tasks() -> list[RenewalTask]:
+    """Pairwise-distinct tasks over three visit grids."""
+    return [
+        _task(),
+        _task(distribution=HOT),
+        _task(interval=4 * units.HOUR),
+        _task(t_ecc=4, threshold=3),
+        _task(distribution=HOT, cells_per_line=128),
+    ]
+
+
+class TestEqualTasks:
+    """Equal tasks are solved once; the answers are those of each alone."""
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.booleans())
+    def test_duplicates_in_any_order_match_each_task_alone(self, picks, twin):
+        distinct = _distinct_tasks()
+        alone = [finite_horizon_batch([task], units.DAY)[0] for task in distinct]
+        # Equal tasks built separately, on a separately tabulated twin of
+        # the distribution: equality is by content, not identity.
+        rebuilt = [
+            RenewalTask(
+                TWIN if twin and task.distribution is DISTRIBUTION
+                else task.distribution,
+                task.cells_per_line, task.interval, task.t_ecc, task.threshold,
+            )
+            for task in distinct
+        ]
+        tasks = [rebuilt[pick] for pick in picks]
+        assert finite_horizon_batch(tasks, units.DAY) == [alone[pick] for pick in picks]
+
+    def test_memo_counters_move_by_distinct_keys(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        distinct = _distinct_tasks()
+        tasks = [distinct[i] for i in (3, 0, 0, 4, 3, 0, 1, 2, 2, 4, 0)]
+        finite_horizon_batch(tasks, units.DAY)
+        assert SURROGATE_MEMO_COUNTERS["computed"] == len(distinct)
+        finite_horizon_batch(tasks, units.DAY)
+        assert SURROGATE_MEMO_COUNTERS["memory"] == len(distinct)
+        assert SURROGATE_MEMO_COUNTERS["computed"] == len(distinct)
+
+    def test_task_gauge_reports_every_input_task(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        tasks = [_task()] * 7 + [_task(interval=4 * units.HOUR)]
+        finite_horizon_batch(tasks, units.DAY)
+        assert GLOBAL_REGISTRY.gauge("surrogate_batch_tasks").value == len(tasks)
+        assert GLOBAL_REGISTRY.gauge("surrogate_batch_propagations").value == 2
 
 
 # -- the propagation memo --------------------------------------------------------
