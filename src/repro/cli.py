@@ -117,7 +117,36 @@ def _fleet_spec(path: str):
         raise SystemExit(f"pcm-scrub: {error}") from None
 
 
+def _checked(kind, flag: str, need: str, ok):
+    """An argparse ``type``: ``kind(text)``, exiting as ``pcm-scrub: …`` unless ``ok``.
+
+    Named after ``kind``, so a non-number still reads ``invalid float value``.
+    """
+
+    def check(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise SystemExit(f"pcm-scrub: {flag} must be {need}, got {value!r}")
+        return value
+
+    check.__name__ = kind.__name__
+    return check
+
+
+def _positive(flag: str, need: str = "positive and finite seconds"):
+    return _checked(float, flag, need, lambda value: math.isfinite(value) and value > 0)
+
+
+def _non_negative(flag: str, need: str = "non-negative and finite seconds"):
+    return _checked(float, flag, need, lambda value: math.isfinite(value) and value >= 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # ``--interval``, the scrub interval compare, headline, trace, lifetime
+    # and export share.
+    scrub_interval = argparse.ArgumentParser(add_help=False)
+    scrub_interval.add_argument("--interval", type=_positive("--interval"), default=units.HOUR)
+
     parser = argparse.ArgumentParser(
         prog="pcm-scrub",
         description="Drift-aware scrub mechanisms for MLC PCM (HPCA 2012 reproduction)",
@@ -149,10 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     drift = sub.add_parser("drift-curve", help="per-level error probability vs time")
-    drift.add_argument("--points", type=int, default=9)
+    drift.add_argument(
+        "--points", type=_checked(int, "--points", ">= 1", lambda n: n >= 1),
+        default=9,
+    )
 
-    compare = sub.add_parser("compare", help="all mechanisms at one interval")
-    compare.add_argument("--interval", type=float, default=units.HOUR)
+    compare = sub.add_parser(
+        "compare", parents=[scrub_interval], help="all mechanisms at one interval"
+    )
     compare.add_argument("--strength", type=int, default=4)
     compare.add_argument(
         "--workload", choices=["idle", "uniform", "zipf"], default="idle"
@@ -163,8 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="use drift-compensated (time-aware) read references",
     )
 
-    headline = sub.add_parser("headline", help="combined vs basic, abstract style")
-    headline.add_argument("--interval", type=float, default=units.HOUR)
+    headline = sub.add_parser(
+        "headline", parents=[scrub_interval],
+        help="combined vs basic, abstract style",
+    )
     _add_obs_flags(headline)
 
     sweep = sub.add_parser("sweep", help="one policy across intervals")
@@ -172,20 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--strength", type=int, default=4)
     sweep.add_argument(
         "--intervals",
-        type=float,
+        type=_positive("--intervals"),
         nargs="+",
         default=[0.25 * units.HOUR, 0.5 * units.HOUR, units.HOUR, 2 * units.HOUR],
     )
     _add_obs_flags(sweep)
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[scrub_interval],
         help="run one experiment with full telemetry and write the artifacts",
     )
     trace.add_argument(
         "--policy", choices=sorted(POLICY_FACTORIES), default="combined"
     )
-    trace.add_argument("--interval", type=float, default=units.HOUR)
     trace.add_argument("--strength", type=int, default=4)
     trace.add_argument(
         "--workload", choices=["idle", "uniform", "zipf"], default="idle"
@@ -217,21 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     lifetime = sub.add_parser(
-        "lifetime", help="projected years to wear-out per scrub configuration"
+        "lifetime", parents=[scrub_interval],
+        help="projected years to wear-out per scrub configuration",
     )
-    lifetime.add_argument("--interval", type=float, default=units.HOUR)
     lifetime.add_argument(
-        "--demand-writes-per-hour", type=float, default=1.0,
+        "--demand-writes-per-hour", default=1.0,
+        type=_non_negative("--demand-writes-per-hour", "non-negative and finite"),
         help="demand writes per line per hour",
     )
     lifetime.add_argument(
-        "--endurance", type=float, default=1e8, help="mean cell endurance"
+        "--endurance", type=_positive("--endurance", "positive and finite"),
+        default=1e8, help="mean cell endurance",
     )
 
     export = sub.add_parser(
-        "export", help="run the mechanism comparison and write CSV/JSONL"
+        "export", parents=[scrub_interval],
+        help="run the mechanism comparison and write CSV/JSONL",
     )
-    export.add_argument("--interval", type=float, default=units.HOUR)
     export.add_argument("--strength", type=int, default=4)
     export.add_argument("output", help="path ending in .csv or .jsonl")
 
@@ -305,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replacement workers before giving up",
     )
     serve.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
         help="heartbeat age after which a shard lease is presumed dead",
     )
     serve.add_argument(
@@ -324,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument("root", help="campaign directory")
     status.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
     )
     status.add_argument(
         "--json", metavar="PATH", default=None,
@@ -337,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument("root", help="campaign directory")
     watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
+        "--interval", type=_positive("--interval"), default=1.0, metavar="SECONDS",
     )
     watch.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_non_negative("--timeout"), default=None, metavar="SECONDS",
         help="give up (exit nonzero) after this long",
     )
     watch.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
     )
 
     repair = sub.add_parser(
@@ -354,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     repair.add_argument("root", help="campaign directory")
     repair.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
     )
 
     provision_fleet = sub.add_parser(
@@ -481,12 +517,6 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
         raise SystemExit(f"pcm-scrub: {error}") from None
 
 
-def _require(ok: bool, flag: str, need: str, value) -> None:
-    """Exit as ``pcm-scrub: …`` naming ``flag`` unless ``ok``."""
-    if not ok:
-        raise SystemExit(f"pcm-scrub: {flag} must be {need}, got {value!r}")
-
-
 def _profile_table(profile: dict[str, dict[str, float]], title: str) -> str:
     rows = [
         [name, entry["calls"], f"{entry['seconds']:.3f}s"]
@@ -519,7 +549,6 @@ def _workload(args: argparse.Namespace, num_lines: int):
 
 
 def cmd_drift_curve(args: argparse.Namespace) -> int:
-    _require(args.points >= 1, "--points", ">= 1", args.points)
     model = DriftModel(CellSpec(), temperature_k=_config(args).temperature_k)
     times = np.logspace(0, 7.5, args.points)
     series = {
@@ -773,10 +802,6 @@ def _lifetime_task(
 def cmd_lifetime(args: argparse.Namespace) -> int:
     temperature = _config(args).temperature_k
     endurance, demand = args.endurance, args.demand_writes_per_hour
-    _require(math.isfinite(endurance) and endurance > 0, "--endurance",
-             "positive and finite", endurance)
-    _require(math.isfinite(demand) and demand >= 0, "--demand-writes-per-hour",
-             "non-negative and finite", demand)
     tasks = [
         (args.interval, strength, theta, endurance, demand / units.HOUR, temperature)
         for strength, theta in [(4, 1), (4, 3), (8, 1), (8, 6)]
@@ -1347,21 +1372,6 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in {
-        "compare", "headline", "sweep", "trace", "lifetime", "export", "watch"
-    }:
-        # Scrub intervals, and ``watch``'s poll period.
-        for seconds in getattr(args, "intervals", None) or [args.interval]:
-            _require(math.isfinite(seconds) and seconds > 0,
-                     "--intervals" if args.command == "sweep" else "--interval",
-                     "positive and finite seconds", seconds)
-    # The service's deadlines: ``watch --timeout`` and every ``--lease-timeout``.
-    for name in ("timeout", "lease_timeout"):
-        seconds = getattr(args, name, None)
-        if seconds is not None:
-            _require(math.isfinite(seconds) and seconds >= 0,
-                     "--" + name.replace("_", "-"),
-                     "non-negative and finite seconds", seconds)
     return COMMANDS[args.command](args)
 
 

@@ -21,6 +21,7 @@ framing and the conservative bound for the per-word (72,64) layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .bch import BchCode
@@ -76,8 +77,12 @@ LINE_DATA_BITS = 512
 DETECTOR_BITS = 16
 
 
+@lru_cache(maxsize=None, typed=True)
 def _bch_check_bits(t: int, data_bits: int = LINE_DATA_BITS) -> int:
-    """Check bits of the shortened BCH used for strength ``t``."""
+    """Check bits of the shortened BCH used for strength ``t``.
+
+    Cached, as a code takes ~1 ms to build; ``typed``, so ``4.0`` still fails.
+    """
     return BchCode(data_bits, t).check_bits
 
 

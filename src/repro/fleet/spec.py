@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import units
+from ..core.policy import ScrubPolicy
 from ..fields import (
     FieldError, array, bad, flag, integer, join, mapping, number, optional,
     read, real, text,
@@ -369,6 +370,11 @@ class FleetSpec:
             kwargs.update(lot.policy_kwargs or {})
         return policy, kwargs
 
+    def build_policy(self, lot: Lot | str) -> ScrubPolicy:
+        """The lot's effective scrub policy (:meth:`policy_for`), built by its factory."""
+        policy, kwargs = self.policy_for(lot)
+        return POLICY_FACTORIES[policy](**kwargs)
+
     @property
     def has_lot_policies(self) -> bool:
         """Whether any lot overrides the fleet-wide scrub assignment."""
@@ -538,8 +544,10 @@ class FleetSpec:
         """Parse the JSON form; a malformed field raises ``ValueError`` naming it.
 
         Every key must be one the format defines, at every level; values
-        are type-checked and every number must be finite.  Policy kwargs
-        are checked when the policy is built, not here.
+        are type-checked and every number must be finite.  Each lot's
+        effective policy is built once, so kwargs its factory rejects fail
+        here, naming ``policy_kwargs`` or, for a lot with its own
+        assignment, ``lots[i].policy_kwargs``.
         """
         try:
             fields = read(data, "", _SPEC_FIELDS, required=("name", "devices", "policy"))
@@ -547,10 +555,18 @@ class FleetSpec:
             raise FieldError(f"fleet spec {error}") from None
         fields.pop("version", None)
         base_config = fields.pop("config", None) or SimulationConfig()
-        return cls(
+        spec = cls(
             base_config=base_config,
             **{key: value for key, value in fields.items() if value is not None},
         )
+        for i, lot in enumerate(spec.lots):
+            try:
+                spec.build_policy(lot)
+            except (TypeError, ValueError) as error:
+                inherited = lot.policy is None and lot.policy_kwargs is None
+                path = "policy_kwargs" if inherited else f"lots[{i}].policy_kwargs"
+                raise FieldError(f"fleet spec field {path}: {error}") from None
+        return spec
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FleetSpec":

@@ -35,7 +35,6 @@ from .search import (
     LotProvision,
     ProvisionError,
     ProvisionSearch,
-    provision_fleet,
     variant_spec,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "knee_point",
     "merge_frontiers",
     "pareto_frontier",
-    "provision_fleet",
     "variant_spec",
 ]

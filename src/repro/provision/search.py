@@ -12,12 +12,13 @@ pair along five minimized axes:
 5. kgCO2e/GiB (operational + amortized embodied).
 
 Exhaustively Monte-Carlo-ing the grid costs ``lots x candidates x
-devices`` engine runs.  The search instead evaluates each device
-through the same exact renewal surrogate the screening planner uses
+devices`` engine runs.  The search instead scores each candidate's
+variant spec through the screening planner's own steps
 (:mod:`repro.screen.planner`): for in-regime candidates (detector-less
-threshold policies on idle single-region devices) the surrogate gives
-the *exact* expectation of every axis at closed-form cost, so no MC is
-spent at all.  The whole grid is scored per lot in one call to the
+threshold policies on idle single-region devices) the exact renewal
+surrogate at the planner's :func:`~repro.screen.planner.surrogate_point`
+gives the *exact* expectation of every axis at closed-form cost, so no
+MC is spent at all.  The whole grid is scored per lot in one call to the
 grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
 - each device's crossing distribution is tabulated once and its
 propagation memoized across candidates.  A device escalates to the real
@@ -26,11 +27,14 @@ engine only when
 * the candidate is out of the surrogate's validated regime (adaptive/
   combined/partial policies, detector-gated decode, demand traffic,
   wear/retire/refresh/spares), as judged by
-  :func:`repro.screen.planner.regime_reasons` on the candidate-variant
-  spec; or
-* a ``fit_limit`` is set and the device's Poisson predictive interval
+  :func:`repro.screen.planner.regime_reasons` once per (lot,
+  candidate), on the lot's first device of the variant spec; or
+* a ``fit_limit`` is set and :func:`repro.screen.planner.classify`
+  leaves the device ``uncertain``: its Poisson predictive interval
   straddles the per-device count budget (the verdict is genuinely
-  uncertain at expectation level).
+  uncertain at expectation level).  A candidate's MC devices are thus
+  exactly the lot's uncertain devices in ``plan_screen`` of its
+  variant spec.
 
 Escalated devices run through ``CampaignRunner(variant, indices=...)``
 - the same subset path the screening report uses - so results are
@@ -48,8 +52,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ..fields import (
     FieldError, array, flag, integer, load, optional, positive, real, text,
 )
@@ -58,7 +60,9 @@ from ..fleet.report import FIT_HOURS, per_gib
 from ..fleet.spec import DeviceSpec, FleetSpec, Lot
 from ..obs.metrics import GLOBAL_REGISTRY
 from ..pcm.energy import OperationCosts
-from ..screen.planner import count_budget, poisson_predictive, regime_reasons
+from ..screen.planner import (
+    UNCERTAIN, ScreenConstraints, classify, regime_reasons, surrogate_point,
+)
 from ..sim.parallel import POLICY_FACTORIES
 from ..sim.renewal import FiniteHorizonSolution
 from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
@@ -129,7 +133,7 @@ class Candidate:
     interval: float
     strength: int = 4
     #: Write-back threshold for the threshold/partial families; ``None``
-    #: resolves to the family default ``max(1, strength - 1)``.
+    #: resolves to the family default (:attr:`effective_threshold`).
     threshold: int | None = None
     #: Whether threshold-family candidates keep the CRC detector.  Off by
     #: default: detector-less threshold scrub is the surrogate-exact
@@ -486,56 +490,46 @@ class ProvisionSearch:
 
     # -- surrogate evaluation --------------------------------------------------
 
-    def _surrogate_costs(self, candidate: Candidate) -> OperationCosts:
-        scheme = candidate.build_policy().scheme
-        return OperationCosts.for_line(
-            self.spec.base_config.energy,
-            self.spec.base_config.line,
-            ecc_bits=scheme.total_overhead_bits,
-            ecc_strength=scheme.t,
-        )
-
     def _evaluate_surrogate(
         self,
-        candidates: list[Candidate],
+        lot: Lot,
         variants: list[FleetSpec],
         devices: list[DeviceSpec],
         distributions: list,
-    ) -> tuple[dict[tuple[int, int], FiniteHorizonSolution], list[list[int]]]:
+    ) -> list[list[FiniteHorizonSolution] | None]:
         """Score one lot's whole candidate grid in a single batched call.
 
-        Returns ``(solutions, regime_escalated)``: ``solutions`` maps
-        every in-regime ``(candidate_pos, device_pos)`` pair to its exact
+        Each candidate's variant spec goes through the screening
+        planner's steps: :func:`regime_reasons` once, on the lot's first
+        device (everything it reads is a lot or base-config property),
+        and every task at :func:`surrogate_point`, both read from the
+        built policy.  Returns, per candidate, each device's exact
         finite-horizon solution - one :func:`finite_horizon_batch` call
-        covering the full grid, with the lot's distributions (tabulated
-        once, threaded in by the caller) shared across candidates -
-        and ``regime_escalated`` lists, per candidate, the device
-        positions that must go to MC regardless of any budget check
-        (out of the surrogate's regime, or ``exhaustive``).
+        covering the in-regime grid, with the lot's distributions
+        (tabulated once, threaded in by the caller) shared across
+        candidates - or ``None`` when every device goes to MC (out of
+        the surrogate's regime, ``exhaustive``, or a lot with no
+        devices).
         """
-        horizon = self.spec.base_config.horizon
+        by_surrogate = [
+            bool(devices)
+            and not self.exhaustive
+            and not regime_reasons(variant, devices[0])
+            for variant in variants
+        ]
         tasks: list[RenewalTask] = []
-        owners: list[tuple[int, int]] = []
-        regime_escalated: list[list[int]] = []
-        for ci, (candidate, variant) in enumerate(zip(candidates, variants)):
-            escalated: list[int] = []
-            for pos, device in enumerate(devices):
-                if self.exhaustive or regime_reasons(variant, device):
-                    escalated.append(pos)
-                    continue
-                owners.append((ci, pos))
-                tasks.append(
-                    RenewalTask(
-                        distribution=distributions[pos],
-                        cells_per_line=device.config.cells_per_line,
-                        interval=candidate.interval,
-                        t_ecc=candidate.strength,
-                        threshold=candidate.effective_threshold,
-                    )
-                )
-            regime_escalated.append(escalated)
-        solved = finite_horizon_batch(tasks, horizon)
-        return dict(zip(owners, solved)), regime_escalated
+        for variant, surrogate in zip(variants, by_surrogate):
+            if surrogate:
+                point = surrogate_point(variant, lot.name)
+                tasks += [
+                    RenewalTask(distribution, device.config.cells_per_line, *point)
+                    for device, distribution in zip(devices, distributions)
+                ]
+        solved = iter(finite_horizon_batch(tasks, self.spec.base_config.horizon))
+        return [
+            [next(solved) for _ in devices] if surrogate else None
+            for surrogate in by_surrogate
+        ]
 
     # -- per-candidate evaluation ---------------------------------------------
 
@@ -546,50 +540,41 @@ class ProvisionSearch:
         variant: FleetSpec,
         indices: tuple[int, ...],
         devices: list[DeviceSpec],
-        regime_escalated: list[int],
-        solutions: dict[tuple[int, int], FiniteHorizonSolution],
-        ci: int,
+        solutions: list[FiniteHorizonSolution] | None,
     ) -> CandidateEvaluation:
         """Compose one (lot, candidate) evaluation from batched solutions.
 
-        Energy is closed-form: a detector-less threshold policy reads
-        and decodes every line on every visit (deterministic), and only
-        the write-back count is stochastic, with exact expectation from
-        the renewal solution.
+        Without ``solutions`` every device runs through MC; under a
+        ``fit_limit``, so does each one :func:`classify` leaves
+        ``uncertain``.  Energy is closed-form: a detector-less threshold
+        policy reads and decodes every line on every visit
+        (deterministic), and only the write-back count is stochastic,
+        with exact expectation from the renewal solution.
         """
         spec = self.spec
         horizon = spec.base_config.horizon
         horizon_hours = horizon / 3600.0
 
-        costs = self._surrogate_costs(candidate)
-        members = [pos for pos in range(len(devices)) if (ci, pos) in solutions]
-        straddle: set[int] = set()
-        if self.fit_limit is not None and members:
-            count_limit = count_budget(spec, self.fit_limit)
-            lam = np.array(
-                [
-                    solutions[(ci, pos)].expected_ue
-                    * devices[pos].config.num_lines
-                    for pos in members
-                ]
-            )
-            lo, hi = poisson_predictive(lam, self.confidence)
-            straddle = {
-                pos
-                for i, pos in enumerate(members)
-                # Straddles the budget: the expectation alone cannot
-                # settle feasibility for this device.
-                if lo[i] <= count_limit < hi[i]
-            }
+        scheme = candidate.build_policy().scheme
+        costs = OperationCosts.for_line(
+            spec.base_config.energy,
+            spec.base_config.line,
+            ecc_bits=scheme.total_overhead_bits,
+            ecc_strength=scheme.t,
+        )
+        resolved = dict(enumerate(solutions or ()))
+        if solutions and self.fit_limit is not None:
+            constraints = ScreenConstraints(fit_limit=self.fit_limit, confidence=self.confidence)
+            verdicts = classify(variant, constraints, list(zip(indices, devices)), solutions)
+            for pos, decision in enumerate(verdicts):
+                if decision.classification == UNCERTAIN:
+                    del resolved[pos]
 
-        regime_set = set(regime_escalated)
-        escalated: list[int] = []
+        escalated = [
+            index for pos, index in enumerate(indices) if pos not in resolved
+        ]
         total_ue = total_writes = total_energy = 0.0
-        for pos, index in enumerate(indices):
-            if pos in regime_set or pos in straddle:
-                escalated.append(index)
-                continue
-            solution = solutions[(ci, pos)]
+        for pos, solution in resolved.items():
             num_lines = devices[pos].config.num_lines
             total_ue += solution.expected_ue * num_lines
             total_writes += solution.expected_writes * num_lines
@@ -620,7 +605,6 @@ class ProvisionSearch:
             devices * spec.simulated_gib_per_device,
             f"lot {lot.name!r} candidate {candidate.key!r} energy/GiB",
         )
-        scheme = candidate.build_policy().scheme
         data_bits = spec.base_config.line.data_bits
         dollars = self.cost_model.dollars_per_usable_gib(
             scheme.total_overhead_bits, data_bits
@@ -693,15 +677,16 @@ class ProvisionSearch:
                 variant_spec(self.spec, lot.name, candidate)
                 for candidate in candidates
             ]
-            solutions, regime_escalated = self._evaluate_surrogate(
-                candidates, variants, devices, distributions
+            solutions = self._evaluate_surrogate(
+                lot, variants, devices, distributions
             )
             evaluations = tuple(
                 self._evaluate_candidate(
-                    lot, candidate, variants[ci], indices, devices,
-                    regime_escalated[ci], solutions, ci,
+                    lot, candidate, variant, indices, devices, solved
                 )
-                for ci, candidate in enumerate(candidates)
+                for candidate, variant, solved in zip(
+                    candidates, variants, solutions
+                )
             )
             mc_device_runs += sum(e.mc_devices for e in evaluations)
             surrogate_candidates += sum(
@@ -759,23 +744,3 @@ class ProvisionSearch:
         )
         return report
 
-
-def provision_fleet(
-    spec: FleetSpec,
-    space: CandidateSpace | None = None,
-    cost_model: CostModel | None = None,
-    fit_limit: float | None = None,
-    confidence: float = 0.95,
-    jobs: int = 1,
-    exhaustive: bool = False,
-):
-    """One-call convenience wrapper around :class:`ProvisionSearch`."""
-    return ProvisionSearch(
-        spec,
-        space=space,
-        cost_model=cost_model,
-        fit_limit=fit_limit,
-        confidence=confidence,
-        jobs=jobs,
-        exhaustive=exhaustive,
-    ).run()

@@ -28,18 +28,22 @@ classification tests pin.
 
 The planner works per lot, then per distinct device point.  Every input
 of the regime check is a lot or base-config property, so it runs once,
-on the lot's first device; an out-of-regime lot escalates unsampled.  A
-lot without spread is one point: sampled once, solved once, classified
+on the lot's first device; an out-of-regime lot escalates unsampled.
+The check and the lot's ``(interval, t, theta)`` point are read from the
+lot's *built* policy (:meth:`repro.fleet.spec.FleetSpec.build_policy`),
+never from defaulted kwargs; admission stays by factory name.  A lot
+without spread is one point: sampled once, solved once, classified
 once, its decision copied to each of its devices.  Only the devices of
 in-regime lots with spread are sampled one by one, and only they fan out
 over the process pool when ``jobs > 1``.  Points go through the
 grid-batched kernel (:func:`repro.sim.renewal_batch.finite_horizon_batch`)
-- one call per lot-policy parameter group, holding one task per device,
-which the kernel collapses to one row per distinct task - with
-vectorized Poisson predictive bounds.  The per-device scalar recursion
-is the reference oracle
-(:func:`repro.verify.equivalence.scalar_finite_horizon`), run through
-the same :func:`classify` step by the ``surrogate_batch`` law.
+- one call per chunk, holding one task per device, which the kernel
+collapses to one row per distinct task - with vectorized Poisson
+predictive bounds.  The per-device scalar recursion is the reference
+oracle (:func:`repro.verify.equivalence.scalar_finite_horizon`), run
+through the same :func:`classify` step by the ``surrogate_batch`` law.
+Provisioning (:mod:`repro.provision.search`) scores its candidates
+through the same regime, point and :func:`classify` steps.
 
 The *FIT* constraint is a per-device budget on the capacity-scaled FIT
 (the same scaling as :attr:`repro.fleet.report.FleetReport.fit_scaled`).
@@ -260,16 +264,19 @@ def regime_reasons(spec: FleetSpec, device: DeviceSpec) -> tuple[str, ...]:
     Empty means the finite-horizon renewal solution is exact for this
     device (idle, pure threshold rule without a detector, single region,
     no wear/retire/refresh/spares).  The policy checks run against the
-    device's *lot-effective* assignment, so a per-lot provisioned fleet
-    screens each lot under its own policy.
+    device's *lot-effective* assignment, built through its factory, so a
+    per-lot provisioned fleet screens each lot under its own policy and
+    a kwarg the factory rejects raises instead of reading as a default.
+    Admission is by factory name (:data:`SURROGATE_POLICIES`).
     """
     reasons = []
-    policy, policy_kwargs = spec.policy_for(device.lot)
+    policy, _ = spec.policy_for(device.lot)
+    built = spec.build_policy(device.lot)
     if policy not in SURROGATE_POLICIES:
         reasons.append(f"regime:policy:{policy}")
-    elif policy_kwargs.get("with_detector", True):
+    elif built.scheme.has_detector:
         # The CRC detector gates decode and can miss; the solver models
-        # unconditional decode.  ``threshold_scrub`` defaults it on.
+        # unconditional decode.
         reasons.append("regime:detector")
     if spec.demand_write_rate is not None:
         reasons.append("regime:demand_workload")
@@ -290,19 +297,9 @@ def regime_reasons(spec: FleetSpec, device: DeviceSpec) -> tuple[str, ...]:
 
 
 def surrogate_point(spec: FleetSpec, lot: str) -> tuple[float, int, int]:
-    """The lot-effective threshold-policy ``(interval, strength, threshold)``."""
-    _, policy_kwargs = spec.policy_for(lot)
-    interval = float(policy_kwargs.get("interval", 0.0))
-    strength = int(policy_kwargs.get("strength", 4))
-    threshold = policy_kwargs.get("threshold")
-    threshold = max(1, strength - 1) if threshold is None else int(threshold)
-    return interval, strength, threshold
-
-
-def count_budget(spec: FleetSpec, fit_limit: float) -> float:
-    """The per-device horizon UE count ``c*`` equivalent to ``fit_limit``."""
-    horizon_hours = spec.base_config.horizon / 3600.0
-    return fit_limit * horizon_hours / FIT_HOURS / spec.capacity_scale
+    """The in-regime lot's ``(interval, strength, threshold)``, read from its built policy."""
+    built = spec.build_policy(lot)
+    return float(built.interval), built.scheme.t, built.threshold
 
 
 def poisson_predictive(lam: np.ndarray, confidence: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +340,8 @@ def classify(
     no_ue = np.array([s.no_ue_probability ** num_lines for s in solutions])
     fit_scaled = lam / horizon_hours * FIT_HOURS * spec.capacity_scale
     if constraints.fit_limit is not None:
-        count_limit = count_budget(spec, constraints.fit_limit)
+        # The per-device horizon UE count ``c*`` equivalent to the limit.
+        count_limit = constraints.fit_limit * horizon_hours / FIT_HOURS / spec.capacity_scale
         lo, hi = poisson_predictive(lam, constraints.confidence)
 
     decisions = []
@@ -408,57 +406,52 @@ def _plan_chunk(payload) -> list[ScreenDecision]:
     Samples each listed device of an in-regime lot with spread and
     classifies it as its own point.
     """
-    spec, constraints, indices = payload
+    spec, constraints, lot_points, indices = payload
     return _classify_points(
-        spec, constraints, [((index,), spec.device_spec(index)) for index in indices]
+        spec, constraints, lot_points,
+        [((index,), spec.device_spec(index)) for index in indices],
     )
 
 
 def _classify_points(
     spec: FleetSpec,
     constraints: ScreenConstraints,
+    lot_points: dict[str, tuple[float, int, int]],
     points: Sequence[tuple[Sequence[int], DeviceSpec]],
 ) -> list[ScreenDecision]:
     """Decisions for every index of in-regime ``(indices, device)`` points.
 
     A point's indices are devices with its parameters, so they share its
-    task and its decision.  Points are grouped by their lot-effective
-    threshold-policy point ``(interval, strength, threshold,
-    cells_per_line)``: one kernel call per group, holding one task per
-    device index, and one :func:`classify` pass over the points.  A
-    device's verdict depends on its own solution only, so the decisions
-    do not depend on the grouping or the chunking.
+    task and its decision.  ``lot_points`` holds each lot's
+    :func:`surrogate_point`.  One kernel call holds one task per device
+    index, and one :func:`classify` pass covers the points.  A device's
+    verdict depends on its own solution only, so the decisions do not
+    depend on the chunking.
     """
-    groups: dict[tuple[float, int, int, int], list[tuple[Sequence[int], DeviceSpec]]] = {}
+    if not points:
+        return []
+    tasks: list[RenewalTask] = []
+    firsts = []
     for indices, device in points:
-        key = (*surrogate_point(spec, device.lot), device.config.cells_per_line)
-        groups.setdefault(key, []).append((indices, device))
-
-    decisions = []
-    for (interval, strength, threshold, cells), members in groups.items():
-        tasks: list[RenewalTask] = []
-        firsts = []
-        for indices, device in members:
-            task = RenewalTask(
-                distribution=crossing_distribution_for(device.config),
-                cells_per_line=cells,
-                interval=interval,
-                t_ecc=strength,
-                threshold=threshold,
-            )
-            firsts.append(len(tasks))
-            tasks += [task] * len(indices)
-        solutions = finite_horizon_batch(tasks, spec.base_config.horizon)
-        point_decisions = classify(
-            spec,
-            constraints,
-            [(indices[0], device) for indices, device in members],
-            [solutions[first] for first in firsts],
+        task = RenewalTask(
+            crossing_distribution_for(device.config),
+            device.config.cells_per_line,
+            *lot_points[device.lot],
         )
-        for (indices, _), decision in zip(members, point_decisions):
-            # Keyword copies: half the cost of ``dataclasses.replace``.
-            shared = vars(decision)
-            decisions += [ScreenDecision(**{**shared, "index": index}) for index in indices]
+        firsts.append(len(tasks))
+        tasks += [task] * len(indices)
+    solutions = finite_horizon_batch(tasks, spec.base_config.horizon)
+    point_decisions = classify(
+        spec,
+        constraints,
+        [(indices[0], device) for indices, device in points],
+        [solutions[first] for first in firsts],
+    )
+    decisions = []
+    for (indices, _), decision in zip(points, point_decisions):
+        # Keyword copies: half the cost of ``dataclasses.replace``.
+        shared = vars(decision)
+        decisions += [ScreenDecision(**{**shared, "index": index}) for index in indices]
     return decisions
 
 
@@ -471,7 +464,9 @@ def plan_screen(
 
     Pure and deterministic: the result depends only on the spec and the
     constraints, not on ``jobs``.  The regime check runs once per lot,
-    on its first device: an out-of-regime lot's devices escalate
+    on its first device, and an in-regime lot's :func:`surrogate_point`
+    is read once, so each lot's policy is built twice per plan, not once
+    per device.  An out-of-regime lot's devices escalate
     unsampled, and a lot without spread is one sampled point whose
     decision every device copies.  Only the devices of in-regime lots
     with spread are sampled one by one, in contiguous chunks that fan
@@ -481,6 +476,7 @@ def plan_screen(
     """
     jobs = max(1, int(jobs))
     decisions: list[ScreenDecision | None] = [None] * spec.devices
+    lot_points: dict[str, tuple[float, int, int]] = {}
     points: list[tuple[range, DeviceSpec]] = []
     sampled: list[int] = []
     for lot, indices in zip(spec.lots, spec.lot_ranges()):
@@ -494,16 +490,18 @@ def plan_screen(
                     index=index, lot=lot.name,
                     classification=UNCERTAIN, reasons=reasons,
                 )
-        elif lot.has_spread:
+            continue
+        lot_points[lot.name] = surrogate_point(spec, lot.name)
+        if lot.has_spread:
             sampled.extend(indices)
         else:
             points.append((indices, first))
 
     chunks = [
-        (spec, constraints, sampled[chunk_start:chunk_stop])
+        (spec, constraints, lot_points, sampled[chunk_start:chunk_stop])
         for chunk_start, chunk_stop in _chunk_bounds(len(sampled), jobs)
     ]
-    found = _classify_points(spec, constraints, points)
+    found = _classify_points(spec, constraints, lot_points, points)
     for chunk in parallel_map(_plan_chunk, chunks, jobs=jobs):
         found += chunk
     for decision in found:

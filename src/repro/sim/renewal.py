@@ -16,16 +16,18 @@ propagating the error-count distribution over visit ages:
 * states ``k < theta`` survive; ``theta <= k <= t`` ends the cycle in a
   write-back; ``k > t`` ends it in a UE.
 
-Two views of the same propagation:
+Two views of the same propagation (:meth:`RenewalModel.propagate`):
 
 * :meth:`RenewalModel.solve` - steady-state per-second rates (cycle
   expectation ratios), the classic renewal-reward answer;
-* :meth:`RenewalModel.finite_horizon` - *exact* expected counts over a
-  finite horizon of ``V`` aligned visits, via the discrete renewal
-  recursion over the per-visit cycle-resolution probabilities.  This is
-  the transient-corrected form: a horizon of a few cycles carries up to
-  half a cycle of bias per line when approximated by ``rate x horizon``,
-  which the recursion eliminates entirely.
+* *exact* expected counts over a finite horizon of ``V`` aligned visits
+  (:class:`FiniteHorizonSolution`), via the discrete renewal recursion
+  over the per-visit cycle-resolution probabilities.  This is the
+  transient-corrected form: a horizon of a few cycles carries up to half
+  a cycle of bias per line when approximated by ``rate x horizon``,
+  which the recursion eliminates entirely.  The batched kernel
+  (:mod:`repro.sim.renewal_batch`) solves it, pinned to a scalar oracle
+  (:func:`repro.verify.equivalence.scalar_finite_horizon`).
 
 The model is exact for the population engine's own assumptions (idle
 lines, iid uniform symbols, no wear, single region so every visit lands
@@ -45,7 +47,7 @@ import numpy as np
 from .analytic import CrossingDistribution, _binomial_pmf
 
 #: Propagation cap (visits per cycle) and surviving-mass tolerance, shared
-#: by the scalar solver and the batched kernel (:mod:`repro.sim.renewal_batch`).
+#: by the scalar propagation and the batched kernel (:mod:`repro.sim.renewal_batch`).
 MAX_VISITS = 20_000
 TOLERANCE = 1e-12
 
@@ -72,38 +74,6 @@ def aligned_visits(horizon: float, interval: float) -> int:
     while visits > 0 and visits * interval > horizon:
         visits -= 1
     return visits
-
-
-def finite_horizon_recursion(
-    u: list[float], w: list[float], visits: int
-) -> tuple[float, float, float]:
-    """Scalar reference for the discrete renewal recursion.
-
-    ``u`` / ``w`` hold the probabilities that a fresh cycle resolves in a
-    UE / write-back exactly at its ``m``-th visit (entry ``m - 1``), both
-    padded to at least ``visits`` entries.  Returns ``(expected_ue,
-    expected_writes, no_ue_probability)`` after ``visits`` aligned visits.
-    This pure-Python ``O(V^2)`` loop is the oracle the vectorized kernel
-    (:func:`repro.sim.renewal_batch.finite_horizon_batch`) is pinned
-    against by the ``surrogate_batch`` equivalence law.
-    """
-    n_ue = [0.0] * (visits + 1)
-    n_write = [0.0] * (visits + 1)
-    no_ue = [1.0] * (visits + 1)
-    for v in range(1, visits + 1):
-        total_ue = 0.0
-        total_write = 0.0
-        survive = 1.0
-        for m in range(1, v + 1):
-            um, wm = u[m - 1], w[m - 1]
-            tail = v - m
-            total_ue += um + (um + wm) * n_ue[tail]
-            total_write += wm + (um + wm) * n_write[tail]
-            survive += wm * no_ue[tail] - (um + wm)
-        n_ue[v] = total_ue
-        n_write[v] = total_write
-        no_ue[v] = min(1.0, max(0.0, survive))
-    return n_ue[visits], n_write[visits], no_ue[visits]
 
 
 @dataclass(frozen=True)
@@ -174,7 +144,7 @@ class RenewalModel:
         self.distribution = distribution
         self.cells_per_line = cells_per_line
 
-    def _propagate(
+    def propagate(
         self, interval: float, t_ecc: int, threshold: int, max_visits: int
     ) -> tuple[list[float], list[float], float, float, float, float, float]:
         """One fresh cycle's count-state propagation over visit ages.
@@ -260,7 +230,7 @@ class RenewalModel:
         """
         (
             _, _, end_ue, end_write, expected_visits, error_visits, leftover,
-        ) = self._propagate(interval, t_ecc, threshold, MAX_VISITS)
+        ) = self.propagate(interval, t_ecc, threshold, MAX_VISITS)
 
         resolved = end_write + end_ue
         if resolved + leftover < 1e-6:
@@ -277,54 +247,4 @@ class RenewalModel:
             ue_rate=(end_ue / total_cycles) / cycle_seconds,
             write_rate=(end_write / total_cycles) / cycle_seconds,
             error_visit_fraction=error_visits / max(expected_visits, 1e-300),
-        )
-
-    def finite_horizon(
-        self, interval: float, t_ecc: int, threshold: int, horizon: float
-    ) -> FiniteHorizonSolution:
-        """Exact expected counts over a horizon of aligned visits.
-
-        The engine visits a single-region device at ``T, 2T, ...`` and
-        includes a visit landing exactly on the horizon boundary, so the
-        line sees ``V = floor(horizon / T)`` visits.  Every cycle - the
-        first one included, because lines are written fresh at ``t = 0``
-        and every resolution rewrites the line *at a visit* - is an iid
-        copy aligned to the visit grid, so with ``u_m`` / ``w_m`` the
-        probabilities that a fresh cycle resolves in a UE / write-back
-        exactly at its ``m``-th visit, the expected UE count over ``v``
-        remaining visits obeys the discrete renewal recursion
-
-        ``N_ue(v) = sum_{m<=v} (u_m + (u_m + w_m) * N_ue(v - m))``
-
-        (and symmetrically for write-backs).  Cycles still unresolved at
-        the horizon contribute their resolution mass nothing - exactly
-        the censoring the engine applies.  ``P(no UE in v visits)``
-        satisfies the same kind of recursion with the censored mass
-        surviving: ``q(v) = 1 - sum_{m<=v}(u_m + w_m) + sum_{m<=v} w_m *
-        q(v - m)``.  Cost is ``O(V^2)`` on top of one cycle propagation
-        capped at ``V`` visits - cheap for screening horizons (hundreds
-        of visits), and much cheaper than :meth:`solve` when cycles are
-        long-lived.
-        """
-        visits = aligned_visits(horizon, interval)
-        if visits == 0:
-            return FiniteHorizonSolution(
-                interval=interval, horizon=horizon, visits=0,
-                expected_ue=0.0, expected_writes=0.0, no_ue_probability=1.0,
-            )
-
-        ue_by_visit, write_by_visit, *_ = self._propagate(
-            interval, t_ecc, threshold, min(MAX_VISITS, visits)
-        )
-        u = ue_by_visit + [0.0] * (visits - len(ue_by_visit))
-        w = write_by_visit + [0.0] * (visits - len(write_by_visit))
-
-        expected_ue, expected_writes, no_ue = finite_horizon_recursion(u, w, visits)
-        return FiniteHorizonSolution(
-            interval=interval,
-            horizon=horizon,
-            visits=visits,
-            expected_ue=expected_ue,
-            expected_writes=expected_writes,
-            no_ue_probability=no_ue,
         )

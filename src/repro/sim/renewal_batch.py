@@ -1,6 +1,6 @@
 """Grid-batched finite-horizon renewal evaluation.
 
-The scalar solver (:meth:`repro.sim.renewal.RenewalModel.finite_horizon`)
+The scalar oracle (:func:`repro.verify.equivalence.scalar_finite_horizon`)
 answers one ``(distribution, T, t, theta, horizon)`` question at a time
 with a pure-Python ``O(V^2)`` recursion - microseconds per point, but a
 million-device screen or a lot x candidate provisioning grid asks the
@@ -14,7 +14,7 @@ expensive stages across the distinct rows:
   ``m``) are computed for many distributions at once: one ``(R, V)`` CDF
   matrix, then the count-state transition loop runs over visits with the
   tiny state/increment loops vectorized across rows.  Identical float
-  operations to :meth:`RenewalModel._propagate` per row, so results
+  operations to :meth:`RenewalModel.propagate` per row, so results
   agree to rounding noise (the ``surrogate_batch`` law pins <= 1e-9
   relative).
 * **Recursion** - tasks sharing a visit grid (same ``V``, ``t``,
@@ -33,7 +33,7 @@ collapse to one row, one memo lookup and at most one propagation per
 gets its own solution, in input order.
 
 Consumers: :func:`repro.screen.planner.plan_screen` (one call per
-policy-parameter group, one task per device) and
+chunk, one task per device) and
 :class:`repro.provision.search.ProvisionSearch` (one call per lot
 covering the whole candidate grid).  Batch telemetry lands in the
 process metrics registry as ``surrogate_batch_*`` gauges
@@ -170,7 +170,7 @@ def _propagate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cycle resolution vectors for many rows at once.
 
-    Row ``r`` reproduces :meth:`RenewalModel._propagate` for
+    Row ``r`` reproduces :meth:`RenewalModel.propagate` for
     ``(distributions[r], intervals[r])`` under the shared ``(t, theta,
     cells)`` point: the CDF is evaluated as one ``(R, V)`` matrix, the
     visit loop stays in Python (each step depends on the last), and the
@@ -229,7 +229,7 @@ def _recursion_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The discrete renewal recursion over ``(R, V)`` resolution stacks.
 
-    Vectorized form of :func:`repro.sim.renewal.finite_horizon_recursion`:
+    Vectorized form of :func:`repro.verify.equivalence.finite_horizon_recursion`:
     the direct ``sum_m u_m`` terms are prefix sums, and the convolution
     terms ``sum_m r_m * N(v - m)`` are one reversed-slice row-dot per
     visit.  Returns the horizon-final ``(expected_ue, expected_writes,
@@ -263,7 +263,8 @@ def finite_horizon_batch(
 ) -> list[FiniteHorizonSolution]:
     """Solve every task's finite-horizon question in grid-sized batches.
 
-    Drop-in for per-task :meth:`RenewalModel.finite_horizon` calls (same
+    Drop-in for the per-task scalar oracle
+    (:func:`repro.verify.equivalence.scalar_finite_horizon`; same
     defaults, same :class:`FiniteHorizonSolution` rows, task order
     preserved).  Equal tasks - same distribution content hash, interval,
     ``t_ecc``, threshold and cells per line - are solved once and share

@@ -52,7 +52,9 @@ from ..analysis.stats import poisson_interval
 from ..sim.analytic import AnalyticModel
 from ..sim.config import SimulationConfig
 from ..sim.parallel import RunSpec, run_many
-from ..sim.renewal import FiniteHorizonSolution, RenewalModel
+from ..sim.renewal import (
+    MAX_VISITS, FiniteHorizonSolution, RenewalModel, aligned_visits,
+)
 from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
 from ..sim.runner import crossing_distribution_for
 
@@ -399,20 +401,90 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if abs(b) > 1e-30 else abs(a - b)
 
 
+def finite_horizon_recursion(
+    u: list[float], w: list[float], visits: int
+) -> tuple[float, float, float]:
+    """Scalar reference for the discrete renewal recursion.
+
+    ``u`` / ``w`` hold the probabilities that a fresh cycle resolves in a
+    UE / write-back exactly at its ``m``-th visit (entry ``m - 1``), both
+    padded to at least ``visits`` entries.  Returns ``(expected_ue,
+    expected_writes, no_ue_probability)`` after ``visits`` aligned visits.
+    This pure-Python ``O(V^2)`` loop is the oracle the vectorized kernel
+    (:func:`repro.sim.renewal_batch.finite_horizon_batch`) is pinned
+    against by the ``surrogate_batch`` equivalence law.
+    """
+    n_ue = [0.0] * (visits + 1)
+    n_write = [0.0] * (visits + 1)
+    no_ue = [1.0] * (visits + 1)
+    for v in range(1, visits + 1):
+        total_ue = 0.0
+        total_write = 0.0
+        survive = 1.0
+        for m in range(1, v + 1):
+            um, wm = u[m - 1], w[m - 1]
+            tail = v - m
+            total_ue += um + (um + wm) * n_ue[tail]
+            total_write += wm + (um + wm) * n_write[tail]
+            survive += wm * no_ue[tail] - (um + wm)
+        n_ue[v] = total_ue
+        n_write[v] = total_write
+        no_ue[v] = min(1.0, max(0.0, survive))
+    return n_ue[visits], n_write[visits], no_ue[visits]
+
+
 def scalar_finite_horizon(
     tasks: Iterable[RenewalTask], horizon: float
 ) -> list[FiniteHorizonSolution]:
     """Drop-in oracle for :func:`repro.sim.renewal_batch.finite_horizon_batch`.
 
-    Solves each task alone with the per-device scalar recursion
-    (:meth:`RenewalModel.finite_horizon`).
+    Solves each task alone: exact expected counts over a horizon of
+    aligned visits.  The engine visits a single-region device at ``T,
+    2T, ...`` and includes a visit landing exactly on the horizon
+    boundary, so the line sees ``V = floor(horizon / T)`` visits.  Every
+    cycle - the first one included, because lines are written fresh at
+    ``t = 0`` and every resolution rewrites the line *at a visit* - is an
+    iid copy aligned to the visit grid, so with ``u_m`` / ``w_m`` the
+    probabilities that a fresh cycle resolves in a UE / write-back
+    exactly at its ``m``-th visit (one scalar cycle propagation,
+    :meth:`repro.sim.renewal.RenewalModel.propagate`, capped at ``V``
+    visits), the expected UE count over ``v`` remaining visits obeys the
+    discrete renewal recursion
+
+    ``N_ue(v) = sum_{m<=v} (u_m + (u_m + w_m) * N_ue(v - m))``
+
+    (and symmetrically for write-backs).  Cycles still unresolved at the
+    horizon contribute their resolution mass nothing - exactly the
+    censoring the engine applies.  ``P(no UE in v visits)`` satisfies the
+    same kind of recursion with the censored mass surviving: ``q(v) = 1 -
+    sum_{m<=v}(u_m + w_m) + sum_{m<=v} w_m * q(v - m)``; see
+    :func:`finite_horizon_recursion`.
     """
-    return [
-        RenewalModel(task.distribution, task.cells_per_line).finite_horizon(
-            task.interval, task.t_ecc, task.threshold, horizon
+    solutions = []
+    for task in tasks:
+        visits = aligned_visits(horizon, task.interval)
+        if visits == 0:
+            solutions.append(FiniteHorizonSolution(
+                interval=task.interval, horizon=horizon, visits=0,
+                expected_ue=0.0, expected_writes=0.0, no_ue_probability=1.0,
+            ))
+            continue
+        model = RenewalModel(task.distribution, task.cells_per_line)
+        ue_by_visit, write_by_visit, *_ = model.propagate(
+            task.interval, task.t_ecc, task.threshold, min(MAX_VISITS, visits)
         )
-        for task in tasks
-    ]
+        u = ue_by_visit + [0.0] * (visits - len(ue_by_visit))
+        w = write_by_visit + [0.0] * (visits - len(write_by_visit))
+        expected_ue, expected_writes, no_ue = finite_horizon_recursion(u, w, visits)
+        solutions.append(FiniteHorizonSolution(
+            interval=task.interval,
+            horizon=horizon,
+            visits=visits,
+            expected_ue=expected_ue,
+            expected_writes=expected_writes,
+            no_ue_probability=no_ue,
+        ))
+    return solutions
 
 
 def surrogate_equivalence(

@@ -114,3 +114,23 @@ class TestFleetCommand:
             main([name, str(spec_path), *rest])
         assert str(exit_info.value).startswith("pcm-scrub: fleet spec field devices")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet"], ["submit", "{root}"], ["provision-fleet"]],
+    )
+    def test_unbuildable_policy_kwargs_exit_naming_the_field(
+        self, spec_path, tmp_path, command
+    ):
+        spec = json.loads(spec_path.read_text())
+        spec["policy_kwargs"]["strenght"] = 4
+        spec_path.write_text(json.dumps(spec))
+        name, *rest = command
+        rest = [arg.format(root=tmp_path / "campaign") for arg in rest]
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, str(spec_path), *rest])
+        assert str(exit_info.value) == (
+            "pcm-scrub: fleet spec field policy_kwargs: threshold_scrub() got "
+            "an unexpected keyword argument 'strenght'"
+        )
+        assert not (tmp_path / "campaign").exists()
+

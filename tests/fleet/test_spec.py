@@ -440,6 +440,10 @@ MALFORMED_CASES = [
     (lambda data: data["config"].update(horizon_days=1e305),
      "config.horizon_days"),
     (lambda data: data["lots"][0].update(nonesuch=1), "nonesuch"),
+    (lambda data: data["policy_kwargs"].update(strenght=4),
+     "policy_kwargs: threshold_scrub()"),
+    (lambda data: data["lots"][0].update(policy_kwargs={"strenght": 4}),
+     "lots[0].policy_kwargs"),
 ]
 
 

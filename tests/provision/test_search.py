@@ -7,10 +7,12 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import run_campaign
+from repro import units
+from repro.fleet import Lot, LotParameter, run_campaign
+from repro.fleet.report import FIT_HOURS
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.provision import (
     Candidate,
@@ -18,10 +20,10 @@ from repro.provision import (
     ProvisionError,
     ProvisionReport,
     ProvisionSearch,
-    provision_fleet,
     variant_spec,
 )
 from repro.provision import search
+from repro.screen import UNCERTAIN, ScreenConstraints, plan_screen
 from repro.verify.equivalence import scalar_finite_horizon
 
 from ..strategies import JSON_VALUES
@@ -313,6 +315,81 @@ class TestSearchRouting:
         )
 
 
+@st.composite
+def small_fleets(draw):
+    """Fleets of 1-5 devices over 1-3 lots, some with spread, some empty."""
+    lots = tuple(
+        Lot(
+            name=f"lot-{i}",
+            weight=draw(st.sampled_from([1.0, 2.0])),
+            nu_mu_scale=LotParameter(
+                draw(st.sampled_from([1.0, 1.1])),
+                draw(st.sampled_from([0.0, 0.04])),
+                low=0.0,
+            ),
+            temperature_k=draw(
+                st.sampled_from([None, LotParameter(310.0, 1.5, low=250.0)])
+            ),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    )
+    return make_spec(
+        seed=draw(st.integers(0, 99)), devices=draw(st.integers(1, 5)), lots=lots
+    )
+
+
+class TestPlannerSteps:
+    """Provisioning scores through the screening planner's own steps."""
+
+    def test_regime_checked_once_per_lot_and_candidate(self, monkeypatch):
+        checked = []
+        real = search.regime_reasons
+
+        def spy(spec, device):
+            checked.append(device.lot)
+            return real(spec, device)
+
+        monkeypatch.setattr(search, "regime_reasons", spy)
+        spec = make_spec()
+        ProvisionSearch(spec, small_space()).run()
+        per_lot = len(small_space().candidates())
+        assert checked == [lot.name for lot in spec.lots for _ in range(per_lot)]
+
+    def test_empty_lot_provisions(self):
+        spec = make_spec(devices=2, lots=(Lot("a"), Lot("b"), Lot("c")))
+        assert spec.lot_counts() == [1, 1, 0]
+        space = small_space(policies=("threshold", "basic"), intervals=(7200.0,))
+        report = ProvisionSearch(spec, space).run()
+        assert [lot.devices for lot in report.lots] == [1, 1, 0]
+        assert all(
+            (e.devices, e.surrogate_devices, e.mc_devices) == (0, 0, 0)
+            for e in report.lots[2].evaluations
+        )
+        assert report.mc_device_runs == 2  # basic, on each non-empty lot
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=small_fleets(), budget=st.sampled_from([0.5, 2.0, 8.0, 30.0]))
+    def test_escalations_are_the_plans_uncertain_devices(self, spec, budget):
+        horizon_hours = spec.base_config.horizon / units.HOUR
+        fit_limit = budget * FIT_HOURS * spec.capacity_scale / horizon_hours
+        report = ProvisionSearch(
+            spec, small_space(), fit_limit=fit_limit,
+            extra_candidates=(Candidate(policy="basic", interval=7200.0),),
+        ).run()
+        constraints = ScreenConstraints(fit_limit=fit_limit, confidence=0.95)
+        for lot in report.lots:
+            for evaluation in lot.evaluations:
+                variant = variant_spec(spec, lot.lot, evaluation.candidate)
+                decisions = [
+                    d for d in plan_screen(variant, constraints).decisions
+                    if d.lot == lot.lot
+                ]
+                uncertain = sum(d.classification == UNCERTAIN for d in decisions)
+                assert evaluation.mc_devices == uncertain
+                assert evaluation.surrogate_devices == len(decisions) - uncertain
+
+
 class TestSearchResults:
     def test_screened_matches_exhaustive_frontier(self):
         # The acceptance property (the benchmark asserts it at scale):
@@ -386,8 +463,8 @@ class TestSearchResults:
         with pytest.raises(ProvisionError, match="no feasible"):
             tight.assignments_spec()
 
-    def test_convenience_wrapper(self):
-        report = provision_fleet(make_spec(), small_space())
+    def test_run_returns_a_report(self):
+        report = ProvisionSearch(make_spec(), small_space()).run()
         assert isinstance(report, ProvisionReport)
 
 

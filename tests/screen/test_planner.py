@@ -29,6 +29,7 @@ from repro.screen import (
 from repro.screen import planner
 from repro.screen.planner import classify, surrogate_point
 from repro.sim.config import SimulationConfig
+from repro.sim.parallel import POLICY_FACTORIES
 from repro.sim.renewal_batch import RenewalTask, finite_horizon_batch
 from repro.sim.runner import crossing_distribution_for
 from repro.verify.equivalence import scalar_finite_horizon
@@ -391,6 +392,24 @@ class TestPerLotPlanning:
         sampled = spy_device_spec(monkeypatch)
         plan_screen(spec, make_constraints(spec))
         assert sampled == [0, *range(spec.devices)]
+
+    def test_spread_lot_policy_is_built_per_lot_not_per_device(self, monkeypatch):
+        builds = []
+        real = POLICY_FACTORIES["threshold"]
+
+        def spy(**kwargs):
+            builds.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setitem(POLICY_FACTORIES, "threshold", spy)
+        counts = []
+        for devices in (3, 90):
+            spec = make_spec(devices=devices, lots=(SPREAD_LOT,))
+            builds.clear()
+            plan = plan_screen(spec, make_constraints(spec))
+            assert all(d.expected_ue is not None for d in plan.decisions)  # in regime
+            counts.append(len(builds))
+        assert 1 <= counts[0] == counts[1]
 
 
 def reference_plan(spec: FleetSpec, constraints: ScreenConstraints) -> ScreenPlan:

@@ -12,11 +12,21 @@ from repro.params import CellSpec
 from repro.sim import SimulationConfig, run_experiment
 from repro.sim.analytic import CrossingDistribution
 from repro.sim.renewal import RenewalModel
+from repro.sim.renewal_batch import RenewalTask
+from repro.verify.equivalence import scalar_finite_horizon
 
 
 @pytest.fixture(scope="module")
 def model() -> RenewalModel:
     return RenewalModel(CrossingDistribution(CellSpec()), cells_per_line=256)
+
+
+def finite_horizon(model, interval, t_ecc, threshold, horizon):
+    """One ``model`` question through the scalar finite-horizon oracle."""
+    task = RenewalTask(
+        model.distribution, model.cells_per_line, interval, t_ecc, threshold
+    )
+    return scalar_finite_horizon([task], horizon)[0]
 
 
 class TestBasics:
@@ -111,10 +121,10 @@ class TestAgainstMonteCarlo:
 class TestFiniteHorizon:
     def test_visit_count_includes_boundary_visit(self, model):
         T = units.HOUR
-        assert model.finite_horizon(T, 4, 3, 3 * T).visits == 3
-        assert model.finite_horizon(T, 4, 3, 2.5 * T).visits == 2
+        assert finite_horizon(model, T, 4, 3, 3 * T).visits == 3
+        assert finite_horizon(model, T, 4, 3, 2.5 * T).visits == 2
         # Sub-interval horizon: no visit ever happens.
-        short = model.finite_horizon(T, 4, 3, 0.5 * T)
+        short = finite_horizon(model, T, 4, 3, 0.5 * T)
         assert short.visits == 0
         assert short.expected_ue == 0.0
         assert short.expected_writes == 0.0
@@ -122,18 +132,18 @@ class TestFiniteHorizon:
 
     def test_validation(self, model):
         with pytest.raises(ValueError):
-            model.finite_horizon(0.0, 4, 3, units.DAY)
+            finite_horizon(model, 0.0, 4, 3, units.DAY)
         with pytest.raises(ValueError):
-            model.finite_horizon(units.HOUR, 4, 3, 0.0)
+            finite_horizon(model, units.HOUR, 4, 3, 0.0)
         with pytest.raises(ValueError):
-            model.finite_horizon(units.HOUR, 4, 5, units.DAY)
+            finite_horizon(model, units.HOUR, 4, 5, units.DAY)
         with pytest.raises(ValueError, match="horizon .* got nan"):
-            model.finite_horizon(units.HOUR, 4, 3, math.nan)
+            finite_horizon(model, units.HOUR, 4, 3, math.nan)
 
     def test_long_horizon_recovers_steady_state_rates(self, model):
         T = units.HOUR
         steady = model.solve(T, t_ecc=4, threshold=3)
-        fh = model.finite_horizon(T, 4, 3, 120 * units.DAY)
+        fh = finite_horizon(model, T, 4, 3, 120 * units.DAY)
         assert fh.ue_rate == pytest.approx(steady.ue_rate, rel=0.02)
         assert fh.write_rate == pytest.approx(steady.write_rate, rel=0.02)
 
@@ -147,10 +157,10 @@ class TestFiniteHorizon:
         T = 2 * units.HOUR
         steady = model.solve(T, t_ecc=3, threshold=2)
         for visits in (1, 2, 3):
-            fh = model.finite_horizon(T, 3, 2, visits * T)
+            fh = finite_horizon(model, T, 3, 2, visits * T)
             assert fh.expected_writes < steady.write_rate * visits * T
         for visits in (3, 6, 12):
-            fh = model.finite_horizon(T, 3, 2, visits * T)
+            fh = finite_horizon(model, T, 3, 2, visits * T)
             assert fh.expected_ue > steady.ue_rate * visits * T
 
 
@@ -172,7 +182,7 @@ class TestFiniteHorizonAgainstMonteCarlo:
             ),
             config,
         )
-        fh = model.finite_horizon(interval, 3, 2, horizon)
+        fh = finite_horizon(model, interval, 3, 2, horizon)
         expected = fh.expected_ue * config.num_lines
         # Pure-Poisson band around the exact expectation (the same width
         # verify.equivalence enforces).
@@ -192,7 +202,7 @@ class TestFiniteHorizonAgainstMonteCarlo:
             ),
             config,
         )
-        fh = model.finite_horizon(interval, 4, 3, horizon)
+        fh = finite_horizon(model, interval, 4, 3, horizon)
         expected = fh.expected_writes * config.num_lines
         band = 4.0 / expected**0.5
         assert abs(result.scrub_writes - expected) / expected < band

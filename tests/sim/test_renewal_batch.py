@@ -1,7 +1,8 @@
 """Batched renewal kernel: parity with the scalar solver, memo behavior.
 
 Two layers of evidence that :func:`repro.sim.renewal_batch.finite_horizon_batch`
-is a drop-in for per-task :meth:`RenewalModel.finite_horizon` calls:
+is a drop-in for the per-task scalar oracle
+(:func:`repro.verify.equivalence.scalar_finite_horizon`):
 
 * a hypothesis law on the recursion itself - random ``(u, w, V)``
   resolution grids through :func:`_recursion_batch` match the scalar
@@ -30,7 +31,6 @@ from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.params import CellSpec
 from repro.sim import renewal_batch
 from repro.sim.analytic import CrossingDistribution
-from repro.sim.renewal import RenewalModel, finite_horizon_recursion
 from repro.sim.renewal_batch import (
     PROPAGATIONS,
     SURROGATE_MEMO_COUNTERS,
@@ -40,6 +40,7 @@ from repro.sim.renewal_batch import (
     finite_horizon_batch,
     propagation_cache_key,
 )
+from repro.verify.equivalence import finite_horizon_recursion, scalar_finite_horizon
 
 #: Module-scope tabulations (~100 ms each); the tests quantify over
 #: policy points and batching shapes, not over cell physics.
@@ -125,11 +126,7 @@ class TestKernelParity:
                   cells_per_line=128),
         ]
         batch = finite_horizon_batch(tasks, horizon)
-        for task, solution in zip(tasks, batch):
-            model = RenewalModel(task.distribution, task.cells_per_line)
-            scalar = model.finite_horizon(
-                task.interval, task.t_ecc, task.threshold, horizon
-            )
+        for solution, scalar in zip(batch, scalar_finite_horizon(tasks, horizon)):
             assert solution.visits == scalar.visits
             assert solution.interval == scalar.interval
             assert solution.expected_ue == pytest.approx(

@@ -206,6 +206,10 @@ class TestBadGlobalFlags:
              "--intervals must be positive and finite seconds, got inf"),
             (["trace", "--interval", "-1"],
              "--interval must be positive and finite seconds, got -1.0"),
+            # A subcommand flag is checked as it is parsed, before the
+            # global flags build the run.
+            (["--temperature", "nan", "lifetime", "--endurance", "0"],
+             "--endurance must be positive and finite, got 0.0"),
         ],
     )
     def test_bad_scrub_flag_exits_naming_it(self, argv, message, tmp_path,
