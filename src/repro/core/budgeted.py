@@ -22,7 +22,7 @@ from ..ecc.schemes import EccScheme, scheme_for_strength
 from ..params import EnergySpec, LineSpec
 from ..pcm.energy import OperationCosts
 from ..sim.analytic import AnalyticModel
-from .threshold import ThresholdScrubPolicy
+from .threshold import ThresholdScrubPolicy, default_threshold
 
 
 def _visit_cost_seconds(
@@ -116,7 +116,7 @@ def budgeted_scrub(
     """
     scheme = scheme_for_strength(strength, with_detector=True)
     if threshold is None:
-        threshold = max(1, scheme.t - 1)
+        threshold = default_threshold(scheme.t)
     costs = OperationCosts.for_line(
         energy if energy is not None else EnergySpec(),
         line if line is not None else LineSpec(),
@@ -157,7 +157,7 @@ def reliability_at_budget(
     )
     interval = interval_for_budget(
         model, scheme, costs, lines_per_bank, budget_fraction,
-        threshold=max(1, scheme.t - 1),
+        threshold=default_threshold(scheme.t),
     )
     failure = model.line_failure_probability(interval, scheme.t)
     return interval, failure

@@ -131,6 +131,18 @@ class ThresholdScrubPolicy(ScrubPolicy):
         )
 
 
+def default_threshold(t: int) -> int:
+    """The threshold family's write-back threshold for a code of strength ``t``.
+
+    ``t - 1`` (at least 1): write back only lines one error away from the
+    correction limit.
+
+    >>> default_threshold(4), default_threshold(1)
+    (3, 1)
+    """
+    return max(1, t - 1)
+
+
 def threshold_scrub(
     interval: float,
     strength: int = 4,
@@ -140,13 +152,12 @@ def threshold_scrub(
     """The paper's threshold write-back mechanism.
 
     Defaults to BCH-``strength`` with a CRC detector and a threshold of
-    ``t - 1``: write back only lines one error away from the correction
-    limit, the most write-frugal setting that still leaves one error of
-    slack between passes.
+    :func:`default_threshold` (``t - 1``), the most write-frugal setting
+    that still leaves one error of slack between passes.
     """
     scheme = scheme_for_strength(strength, with_detector=with_detector)
     if threshold is None:
-        threshold = max(1, scheme.t - 1)
+        threshold = default_threshold(scheme.t)
     return ThresholdScrubPolicy(
         scheme,
         interval,
@@ -169,7 +180,7 @@ def partial_scrub(
     """
     scheme = scheme_for_strength(strength, with_detector=True)
     if threshold is None:
-        threshold = max(1, scheme.t - 1)
+        threshold = default_threshold(scheme.t)
     return ThresholdScrubPolicy(
         scheme,
         interval,

@@ -281,6 +281,15 @@ class FleetSpec:
                 "fleet campaigns model temperature heterogeneity through "
                 "per-lot temperature_k; thermal profiles are not supported"
             )
+        # Build each lot's effective policy once, so kwargs its factory
+        # rejects fail here, however the spec was made.
+        for i, lot in enumerate(self.lots):
+            try:
+                self.build_policy(lot)
+            except (TypeError, ValueError) as error:
+                inherited = lot.policy is None and lot.policy_kwargs is None
+                path = "policy_kwargs" if inherited else f"lots[{i}].policy_kwargs"
+                raise FieldError(f"fleet spec field {path}: {error}") from None
 
     # -- lot assignment -------------------------------------------------------
 
@@ -544,10 +553,10 @@ class FleetSpec:
         """Parse the JSON form; a malformed field raises ``ValueError`` naming it.
 
         Every key must be one the format defines, at every level; values
-        are type-checked and every number must be finite.  Each lot's
-        effective policy is built once, so kwargs its factory rejects fail
-        here, naming ``policy_kwargs`` or, for a lot with its own
-        assignment, ``lots[i].policy_kwargs``.
+        are type-checked and every number must be finite.  Kwargs a lot's
+        policy factory rejects fail in construction, naming
+        ``policy_kwargs`` or, for a lot with its own assignment,
+        ``lots[i].policy_kwargs``.
         """
         try:
             fields = read(data, "", _SPEC_FIELDS, required=("name", "devices", "policy"))
@@ -555,18 +564,10 @@ class FleetSpec:
             raise FieldError(f"fleet spec {error}") from None
         fields.pop("version", None)
         base_config = fields.pop("config", None) or SimulationConfig()
-        spec = cls(
+        return cls(
             base_config=base_config,
             **{key: value for key, value in fields.items() if value is not None},
         )
-        for i, lot in enumerate(spec.lots):
-            try:
-                spec.build_policy(lot)
-            except (TypeError, ValueError) as error:
-                inherited = lot.policy is None and lot.policy_kwargs is None
-                path = "policy_kwargs" if inherited else f"lots[{i}].policy_kwargs"
-                raise FieldError(f"fleet spec field {path}: {error}") from None
-        return spec
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FleetSpec":

@@ -298,20 +298,9 @@ def _truncated_normal(
 
 def _phi(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF."""
-    from math import sqrt
+    from scipy.special import erf
 
-    return 0.5 * (1.0 + _erf(np.asarray(x) / sqrt(2.0)))
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    # numpy lacks erf outside scipy; scipy is available per the environment,
-    # but keep the dependency local so repro.pcm works standalone.
-    try:
-        from scipy.special import erf as _scipy_erf
-
-        return _scipy_erf(x)
-    except ImportError:  # pragma: no cover - scipy is installed in CI
-        return np.vectorize(math.erf)(x)
+    return 0.5 * (1.0 + erf(np.asarray(x) / math.sqrt(2.0)))
 
 
 def _truncated_normal_pdf(

@@ -52,6 +52,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
+from ..core.threshold import default_threshold
 from ..fields import (
     FieldError, array, flag, integer, load, optional, positive, real, text,
 )
@@ -160,7 +161,7 @@ class Candidate:
             return None
         if self.threshold is not None:
             return self.threshold
-        return max(1, self.strength - 1)
+        return default_threshold(self.strength)
 
     @property
     def key(self) -> str:

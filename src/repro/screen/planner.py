@@ -63,8 +63,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import poisson
 
+from ..analysis.stats import poisson_quantile
 from ..fields import load
 from ..fleet.report import FIT_HOURS
 from ..fleet.spec import DeviceSpec, FleetSpec
@@ -303,22 +303,22 @@ def surrogate_point(spec: FleetSpec, lot: str) -> tuple[float, int, int]:
 
 
 def poisson_predictive(lam: np.ndarray, confidence: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central predictive ``int64`` bounds on each Poisson(``lam``) realization.
+    """Central predictive bounds on each Poisson(``lam``) realization.
 
-    Non-positive rates map to the degenerate ``(0, 0)`` interval.
+    The bounds are whole numbers in float64; non-positive rates map to
+    the degenerate ``(0, 0)`` interval.  A bound the quantile cannot give
+    is left non-finite, so no comparison passes or fails a device on it:
+    the upper bound is infinite when its tail rounds to 1 (``confidence``
+    within ``2**-53`` of 1), and ``pdtrik`` gives NaN at some rates above
+    about ``1e10``.
     """
     alpha = 1.0 - confidence
     rates = np.asarray(lam, dtype=np.float64)
-    lo = np.zeros(rates.shape, dtype=np.int64)
-    hi = np.zeros(rates.shape, dtype=np.int64)
+    lo = np.zeros(rates.shape)
+    hi = np.zeros(rates.shape)
     positive = rates > 0.0
-    if positive.any():
-        lo[positive] = np.maximum(
-            0, poisson.ppf(alpha / 2.0, rates[positive]).astype(np.int64)
-        )
-        hi[positive] = np.maximum(
-            0, poisson.ppf(1.0 - alpha / 2.0, rates[positive]).astype(np.int64)
-        )
+    lo[positive] = poisson_quantile(alpha / 2.0, rates[positive])
+    hi[positive] = poisson_quantile(1.0 - alpha / 2.0, rates[positive])
     return lo, hi
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.fields import FieldError
 from repro.fleet import FleetSpec, Lot, LotParameter
 from repro.sim.config import SimulationConfig
 
@@ -387,9 +389,8 @@ class TestLotPolicies:
             )
 
 
-SMOKE_SPEC = json.loads(
-    (Path(__file__).resolve().parents[2] / "examples/specs/fleet_smoke.json").read_text()
-)
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples/specs"
+SMOKE_SPEC = json.loads((EXAMPLES / "fleet_smoke.json").read_text())
 
 #: Every field the format defines, addressed as (lot index or None, block,
 #: key): top-level keys, config keys (the ``horizon_days`` alias
@@ -459,6 +460,15 @@ class TestMalformedJson:
         with pytest.raises(ValueError) as error:
             FleetSpec.from_dict(data)
         assert field in str(error.value)
+
+    def test_replaced_spec_with_unbuildable_kwargs_names_the_field(self):
+        spec = FleetSpec.from_file(EXAMPLES / "fleet_screen.json")
+        with pytest.raises(FieldError, match=r"^fleet spec field policy_kwargs: .*'strenght'"):
+            dataclasses.replace(spec, policy_kwargs={**spec.policy_kwargs, "strenght": 4})
+        lots = (dataclasses.replace(spec.lots[0], policy_kwargs={"strenght": 4}),
+                *spec.lots[1:])
+        with pytest.raises(FieldError, match=r"^fleet spec field lots\[0\]\.policy_kwargs: "):
+            dataclasses.replace(spec, lots=lots)
 
     def test_integral_float_device_count_loads(self):
         data = copy.deepcopy(SMOKE_SPEC)

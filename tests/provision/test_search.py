@@ -24,6 +24,7 @@ from repro.provision import (
 )
 from repro.provision import search
 from repro.screen import UNCERTAIN, ScreenConstraints, plan_screen
+from repro.sim.parallel import POLICY_FACTORIES
 from repro.verify.equivalence import scalar_finite_horizon
 
 from ..strategies import JSON_VALUES
@@ -41,6 +42,15 @@ class TestCandidate:
             "threshold": 3,
             "with_detector": False,
         }
+
+    @pytest.mark.parametrize("policy", ["threshold", "partial"])
+    @pytest.mark.parametrize("strength", range(1, 9))
+    def test_default_threshold_is_the_factorys(self, policy, strength):
+        candidate = Candidate(policy=policy, interval=3600.0, strength=strength)
+        kwargs = candidate.policy_kwargs()
+        del kwargs["threshold"]
+        built = POLICY_FACTORIES[policy](**kwargs)
+        assert candidate.effective_threshold == built.threshold
 
     def test_basic_takes_interval_only(self):
         candidate = Candidate(policy="basic", interval=1800.0, strength=8)

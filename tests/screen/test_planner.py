@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,24 @@ class TestClassification:
         cool = [d for d in plan.decisions if d.lot == "cool"]
         assert all(d.classification == UNCERTAIN for d in cool)
         assert all(d.reasons == ("availability_margin",) for d in cool)
+
+    def test_unbounded_upper_tail_passes_no_device(self, spec):
+        # The largest confidence below 1 rounds the upper tail to 1, whose
+        # Poisson quantile is infinite: no device can clear the budget.
+        constraints = make_constraints(
+            spec, budget=1e6, confidence=math.nextafter(1.0, 0.0)
+        )
+        plan = plan_screen(spec, constraints)
+        assert {d.classification for d in plan.decisions} == {UNCERTAIN}
+
+    def test_nan_bounds_clear_no_budget(self, spec, constraints, monkeypatch):
+        # pdtrik gives NaN at some rates above about 1e10; such a device
+        # neither passes nor fails, it escalates.
+        monkeypatch.setattr(
+            planner, "poisson_quantile", lambda q, mu: np.full(np.shape(mu), np.nan)
+        )
+        plan = plan_screen(spec, constraints)
+        assert {d.classification for d in plan.decisions} == {UNCERTAIN}
 
     def test_plan_is_deterministic(self, spec, constraints):
         assert plan_screen(spec, constraints).to_dict() == plan_screen(
