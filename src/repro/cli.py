@@ -12,10 +12,12 @@ Subcommands::
     pcm-scrub verify --quick              # invariants + metamorphic + models
     pcm-scrub fleet campaign.json         # datacenter campaign -> FIT report
 
-Every command prints a deterministic fixed-width table; ``--seed``,
-``--lines``, ``--horizon`` control the Monte-Carlo configuration.
-``sweep`` and ``headline`` accept ``--timeseries``/``--profile`` to collect
-telemetry (see :mod:`repro.obs`) without changing any simulated result.
+Every command prints a deterministic fixed-width table; the global flags
+``--seed``, ``--lines``, ``--horizon-days`` (given before the subcommand)
+control the Monte-Carlo configuration.  ``sweep`` and ``headline`` accept
+``--timeseries``/``--profile`` to collect telemetry (see :mod:`repro.obs`)
+without changing any simulated result.  A bad flag, spec, checkpoint or
+campaign directory exits with status 1 and one ``pcm-scrub: …`` line.
 """
 
 from __future__ import annotations
@@ -53,39 +55,6 @@ from .workloads import uniform_rates, zipf_rates
 DEFAULT_SAMPLES = 64
 
 
-def _add_screen_arguments(parser: argparse.ArgumentParser) -> None:
-    """The surrogate-screening flag group shared by ``fleet`` and ``submit``."""
-    group = parser.add_argument_group(
-        "screening",
-        "classify devices through the exact finite-horizon renewal "
-        "surrogate and Monte-Carlo only the uncertain ones "
-        "(docs/screening.md)",
-    )
-    group.add_argument(
-        "--screen", action="store_true",
-        help="enable surrogate screening (requires --fit-limit and/or "
-        "--availability-limit)",
-    )
-    group.add_argument(
-        "--fit-limit", type=float, default=None, metavar="FIT",
-        help="per-device budget on capacity-scaled FIT",
-    )
-    group.add_argument(
-        "--availability-limit", type=float, default=None, metavar="P",
-        help="per-device floor on the probability of a UE-free horizon",
-    )
-    group.add_argument(
-        "--screen-confidence", type=float, default=0.95, metavar="C",
-        help="central coverage of the Poisson predictive interval "
-        "(default 0.95)",
-    )
-    group.add_argument(
-        "--availability-margin", type=float, default=0.02, metavar="M",
-        help="band around --availability-limit that escalates to MC "
-        "(default 0.02)",
-    )
-
-
 def _screen_constraints(args: argparse.Namespace):
     """Build ScreenConstraints from CLI flags, or None when not screening."""
     if not args.screen:
@@ -94,17 +63,14 @@ def _screen_constraints(args: argparse.Namespace):
                 "pcm-scrub: --fit-limit/--availability-limit require --screen"
             )
         return None
-    from .screen import ScreenConstraints, ScreenError
+    from .screen import ScreenConstraints
 
-    try:
-        return ScreenConstraints(
-            fit_limit=args.fit_limit,
-            min_availability=args.availability_limit,
-            confidence=args.screen_confidence,
-            availability_margin=args.availability_margin,
-        )
-    except ScreenError as error:
-        raise SystemExit(f"pcm-scrub: {error}") from None
+    return ScreenConstraints(
+        fit_limit=args.fit_limit,
+        min_availability=args.availability_limit,
+        confidence=args.screen_confidence,
+        availability_margin=args.availability_margin,
+    )
 
 
 def _fleet_spec(path: str):
@@ -141,11 +107,82 @@ def _non_negative(flag: str, need: str = "non-negative and finite seconds"):
     return _checked(float, flag, need, lambda value: math.isfinite(value) and value >= 0)
 
 
+def _count(flag: str):
+    return _checked(int, flag, ">= 1", lambda value: value >= 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # ``--interval``, the scrub interval compare, headline, trace, lifetime
-    # and export share.
+    # Flags that several subcommands read, each declared once as a parent
+    # parser; a subcommand lists its parents' flags first in --help.
     scrub_interval = argparse.ArgumentParser(add_help=False)
     scrub_interval.add_argument("--interval", type=_positive("--interval"), default=units.HOUR)
+
+    strength = argparse.ArgumentParser(add_help=False)
+    strength.add_argument("--strength", type=_count("--strength"), default=4)
+
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument(
+        "--workload", choices=["idle", "uniform", "zipf"], default="idle"
+    )
+    workload.add_argument("--write-rate", type=float, default=100.0)
+
+    obs = argparse.ArgumentParser(add_help=False)
+    obs.add_argument(
+        "--timeseries", metavar="PATH", default=None,
+        help="sample metrics over simulated time and write them as JSON",
+    )
+    obs.add_argument(
+        "--profile", action="store_true",
+        help="collect per-phase wall-time spans and print the profile",
+    )
+
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="also write the full result as JSON",
+    )
+
+    fleet_spec = argparse.ArgumentParser(add_help=False)
+    fleet_spec.add_argument("spec", help="JSON campaign spec (see docs/fleet.md)")
+
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument("root", help="campaign directory from 'submit'")
+    campaign.add_argument(
+        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0,
+        metavar="SECONDS",
+        help="heartbeat age after which a shard lease is presumed dead",
+    )
+
+    screening = argparse.ArgumentParser(add_help=False)
+    group = screening.add_argument_group(
+        "screening",
+        "classify devices through the exact finite-horizon renewal "
+        "surrogate and Monte-Carlo only the uncertain ones "
+        "(docs/screening.md)",
+    )
+    group.add_argument(
+        "--screen", action="store_true",
+        help="enable surrogate screening (requires --fit-limit and/or "
+        "--availability-limit)",
+    )
+    group.add_argument(
+        "--fit-limit", type=float, default=None, metavar="FIT",
+        help="per-device budget on capacity-scaled FIT",
+    )
+    group.add_argument(
+        "--availability-limit", type=float, default=None, metavar="P",
+        help="per-device floor on the probability of a UE-free horizon",
+    )
+    group.add_argument(
+        "--screen-confidence", type=float, default=0.95, metavar="C",
+        help="central coverage of the Poisson predictive interval "
+        "(default 0.95)",
+    )
+    group.add_argument(
+        "--availability-margin", type=float, default=0.02, metavar="M",
+        help="band around --availability-limit that escalates to MC "
+        "(default 0.02)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="pcm-scrub",
@@ -178,55 +215,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     drift = sub.add_parser("drift-curve", help="per-level error probability vs time")
-    drift.add_argument(
-        "--points", type=_checked(int, "--points", ">= 1", lambda n: n >= 1),
-        default=9,
-    )
+    drift.add_argument("--points", type=_count("--points"), default=9)
 
     compare = sub.add_parser(
-        "compare", parents=[scrub_interval], help="all mechanisms at one interval"
+        "compare", parents=[scrub_interval, strength, workload],
+        help="all mechanisms at one interval",
     )
-    compare.add_argument("--strength", type=int, default=4)
-    compare.add_argument(
-        "--workload", choices=["idle", "uniform", "zipf"], default="idle"
-    )
-    compare.add_argument("--write-rate", type=float, default=100.0)
     compare.add_argument(
         "--compensated", action="store_true",
         help="use drift-compensated (time-aware) read references",
     )
 
-    headline = sub.add_parser(
-        "headline", parents=[scrub_interval],
+    sub.add_parser(
+        "headline", parents=[scrub_interval, obs],
         help="combined vs basic, abstract style",
     )
-    _add_obs_flags(headline)
 
-    sweep = sub.add_parser("sweep", help="one policy across intervals")
+    sweep = sub.add_parser(
+        "sweep", parents=[strength, obs], help="one policy across intervals"
+    )
     sweep.add_argument("--policy", choices=sorted(POLICY_FACTORIES), default="basic")
-    sweep.add_argument("--strength", type=int, default=4)
     sweep.add_argument(
         "--intervals",
         type=_positive("--intervals"),
         nargs="+",
         default=[0.25 * units.HOUR, 0.5 * units.HOUR, units.HOUR, 2 * units.HOUR],
     )
-    _add_obs_flags(sweep)
 
     trace = sub.add_parser(
-        "trace", parents=[scrub_interval],
+        "trace", parents=[scrub_interval, strength, workload],
         help="run one experiment with full telemetry and write the artifacts",
     )
     trace.add_argument(
         "--policy", choices=sorted(POLICY_FACTORIES), default="combined"
     )
-    trace.add_argument("--strength", type=int, default=4)
     trace.add_argument(
-        "--workload", choices=["idle", "uniform", "zipf"], default="idle"
-    )
-    trace.add_argument("--write-rate", type=float, default=100.0)
-    trace.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES,
+        "--samples", type=_count("--samples"), default=DEFAULT_SAMPLES,
         help="time-series samples over the horizon",
     )
     trace.add_argument(
@@ -265,14 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     export = sub.add_parser(
-        "export", parents=[scrub_interval],
+        "export", parents=[scrub_interval, strength],
         help="run the mechanism comparison and write CSV/JSONL",
     )
-    export.add_argument("--strength", type=int, default=4)
     export.add_argument("output", help="path ending in .csv or .jsonl")
 
     verify = sub.add_parser(
-        "verify",
+        "verify", parents=[json_out],
         help="run the verification harness: invariants, metamorphic "
         "properties, model equivalence",
     )
@@ -280,17 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="reduced grids and populations (CI-sized, ~1 min)",
     )
-    verify.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the full report as JSON",
-    )
 
     fleet = sub.add_parser(
-        "fleet",
+        "fleet", parents=[fleet_spec, json_out, screening],
         help="run a datacenter-scale campaign over a heterogeneous device "
         "fleet (spec file in, FIT/availability report out)",
     )
-    fleet.add_argument("spec", help="JSON campaign spec (see docs/fleet.md)")
     fleet.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="durable JSONL journal; completed devices survive a kill",
@@ -300,39 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an existing checkpoint (validates the spec hash)",
     )
     fleet.add_argument(
-        "--stop-after", type=int, default=None, metavar="N",
+        "--stop-after", type=_count("--stop-after"), default=None, metavar="N",
         help="checkpoint and exit after N devices this invocation",
     )
     fleet.add_argument(
-        "--until", type=int, default=None, metavar="N",
+        "--until", type=_count("--until"), default=None, metavar="N",
         help="incremental stop: complete devices with index < N, journal "
         "the rest as pending, exit without aggregating",
     )
-    fleet.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the fleet report as JSON",
-    )
-    _add_screen_arguments(fleet)
 
     submit = sub.add_parser(
-        "submit",
+        "submit", parents=[fleet_spec, screening],
         help="create a campaign directory for the sharded service "
         "(spec + deterministic shard plan; workers drain it)",
     )
-    submit.add_argument("spec", help="JSON campaign spec (see docs/fleet.md)")
     submit.add_argument("root", help="campaign directory to create")
     submit.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=_count("--shards"), default=None, metavar="N",
         help="shard count (default: CPU-count aware)",
     )
-    _add_screen_arguments(submit)
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[campaign, json_out],
         help="run a submitted campaign under a supervised worker pool "
         "(crashed workers are repaired and replaced)",
     )
-    serve.add_argument("root", help="campaign directory from 'submit'")
     serve.add_argument(
         "--workers", type=int, default=2, help="worker processes"
     )
@@ -341,37 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="replacement workers before giving up",
     )
     serve.add_argument(
-        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
-        help="heartbeat age after which a shard lease is presumed dead",
-    )
-    serve.add_argument(
-        "--snapshot-budget", type=int, default=256, metavar="EVENTS",
+        "--snapshot-budget", type=_count("--snapshot-budget"), default=256,
+        metavar="EVENTS",
         help="engine events between mid-horizon device snapshots",
     )
-    serve.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the final fleet report as JSON",
-    )
 
-    status = sub.add_parser(
-        "status",
+    sub.add_parser(
+        "status", parents=[campaign, json_out],
         help="one streaming progress snapshot of a campaign directory "
         "(shard states + partial fleet report)",
     )
-    status.add_argument("root", help="campaign directory")
-    status.add_argument(
-        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
-    )
-    status.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full status (including the partial report) as JSON",
-    )
 
     watch = sub.add_parser(
-        "watch",
+        "watch", parents=[campaign],
         help="poll a campaign until it finishes, streaming progress lines",
     )
-    watch.add_argument("root", help="campaign directory")
     watch.add_argument(
         "--interval", type=_positive("--interval"), default=1.0, metavar="SECONDS",
     )
@@ -379,28 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=_non_negative("--timeout"), default=None, metavar="SECONDS",
         help="give up (exit nonzero) after this long",
     )
-    watch.add_argument(
-        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
-    )
 
-    repair = sub.add_parser(
-        "repair",
+    sub.add_parser(
+        "repair", parents=[campaign],
         help="re-queue dead workers' shards (break stale leases) and "
         "sweep snapshots of already-journaled devices",
     )
-    repair.add_argument("root", help="campaign directory")
-    repair.add_argument(
-        "--lease-timeout", type=_non_negative("--lease-timeout"), default=30.0, metavar="SECONDS",
-    )
 
     provision_fleet = sub.add_parser(
-        "provision-fleet",
+        "provision-fleet", parents=[fleet_spec, json_out],
         help="search per-lot scrub assignments: candidate grid in, "
         "cost/energy/carbon Pareto frontiers and a recommended per-lot "
         "spec out (see docs/provisioning.md)",
-    )
-    provision_fleet.add_argument(
-        "spec", help="JSON campaign spec (see docs/fleet.md)"
     )
     provision_fleet.add_argument(
         "--policies", nargs="+", default=["threshold"],
@@ -454,10 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="years the embodied carbon is amortized over",
     )
     provision_fleet.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full provisioning report as JSON",
-    )
-    provision_fleet.add_argument(
         "--frontier-csv", metavar="PATH", default=None,
         help="write every frontier point as CSV",
     )
@@ -469,17 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--timeseries", metavar="PATH", default=None,
-        help="sample metrics over simulated time and write them as JSON",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="collect per-phase wall-time spans and print the profile",
-    )
-
-
 def _jobs(args: argparse.Namespace) -> int:
     if args.jobs is None:
         return default_jobs()
@@ -489,7 +458,6 @@ def _jobs(args: argparse.Namespace) -> int:
 def _obs_config(args: argparse.Namespace, horizon: float) -> ObsConfig:
     """Telemetry selection from CLI flags (everything off by default)."""
     return ObsConfig(
-        trace=getattr(args, "trace", False),
         sample_every=(
             horizon / DEFAULT_SAMPLES
             if getattr(args, "timeseries", None)
@@ -509,8 +477,8 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
             seed=args.seed,
             temperature_k=args.temperature,
             compensated_sensing=getattr(args, "compensated", False),
-            fast_forward=not getattr(args, "no_fast_forward", False),
-            engine=getattr(args, "engine", "scalar"),
+            fast_forward=not args.no_fast_forward,
+            engine=args.engine,
         )
         return replace(config, obs=_obs_config(args, config.horizon))
     except ValueError as error:
@@ -536,6 +504,14 @@ def _write_timeseries(path: str, labels: list[str], results: list) -> None:
 
     write_timeseries(path, labels, results)
     print(f"wrote time series for {len(results)} runs to {path}")
+
+
+def _policy_kwargs(args: argparse.Namespace, interval: float) -> dict:
+    """The ``--policy`` factory's kwargs; ``basic`` takes no ``--strength``."""
+    kwargs = {"interval": interval}
+    if args.policy != "basic":
+        kwargs["strength"] = args.strength
+    return kwargs
 
 
 def _workload(args: argparse.Namespace, num_lines: int):
@@ -651,12 +627,13 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config(args)
-    specs = []
-    for interval in args.intervals:
-        kwargs = {"interval": interval}
-        if args.policy != "basic":
-            kwargs["strength"] = args.strength
-        specs.append(RunSpec(policy=args.policy, config=config, policy_kwargs=kwargs))
+    specs = [
+        RunSpec(
+            policy=args.policy, config=config,
+            policy_kwargs=_policy_kwargs(args, interval),
+        )
+        for interval in args.intervals
+    ]
     results = run_many(specs, jobs=_jobs(args))
     rows = []
     for interval, result in zip(args.intervals, results):
@@ -696,14 +673,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
             trace=True, sample_every=config.horizon / args.samples, profile=True
         ),
     )
-    rates = _workload(args, config.num_lines)
-    kwargs: dict = {"interval": args.interval}
-    if args.policy != "basic":
-        kwargs["strength"] = args.strength
-    spec = RunSpec(
-        policy=args.policy, config=config, policy_kwargs=kwargs, rates=rates
-    )
-    result = spec.run()
+    result = RunSpec(
+        policy=args.policy,
+        config=config,
+        policy_kwargs=_policy_kwargs(args, args.interval),
+        rates=_workload(args, config.num_lines),
+    ).run()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -913,98 +888,88 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from .fleet import run_campaign
-
     spec = _fleet_spec(args.spec)
     constraints = _screen_constraints(args)
-    if constraints is not None:
-        return _cmd_fleet_screened(args, spec, constraints)
-    outcome = run_campaign(
-        spec,
-        jobs=_jobs(args),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        stop_after=args.stop_after,
-        until=args.until,
-    )
+    if args.resume and args.checkpoint is None:
+        raise SystemExit("pcm-scrub: --resume requires --checkpoint")
+    run = {
+        "jobs": _jobs(args),
+        "checkpoint": args.checkpoint,
+        "resume": args.resume,
+        "stop_after": args.stop_after,
+    }
+    screened = constraints is not None
+    if not screened:
+        from .fleet import run_campaign
+
+        outcome = progress = run_campaign(spec, until=args.until, **run)
+        if outcome.finished:
+            print(
+                format_table(
+                    ["devices", "lots", "lines/device", "horizon", "policy",
+                     "executed now", "wall"],
+                    [[outcome.report.devices, len(spec.lots),
+                      spec.base_config.num_lines,
+                      units.format_seconds(spec.base_config.horizon),
+                      spec.policy, outcome.executed,
+                      f"{outcome.wall_seconds:.1f}s"]],
+                    title=f"Fleet campaign '{spec.name}'",
+                )
+            )
+    else:
+        from .screen import run_screened_campaign
+
+        if args.until is not None:
+            raise SystemExit("pcm-scrub: --until is not supported with --screen")
+        outcome = run_screened_campaign(spec, constraints, **run)
+        progress = outcome.mc_outcome
+        _print_plan(outcome.plan, f"Screen plan for '{spec.name}'", devices=True)
 
     if not outcome.finished:
         print(
             format_table(
-                ["campaign", "completed", "executed now", "wall"],
-                [[spec.name, f"{outcome.completed}/{outcome.total}",
-                  outcome.executed, f"{outcome.wall_seconds:.1f}s"]],
-                title="Campaign checkpointed (re-run with --resume to finish)",
+                ["campaign", "MC completed" if screened else "completed",
+                 "executed now", "wall"],
+                [[spec.name, f"{progress.completed}/{progress.total}",
+                  progress.executed, f"{progress.wall_seconds:.1f}s"]],
+                title=("Screened campaign" if screened else "Campaign")
+                + " checkpointed (re-run with --resume to finish)",
             )
         )
         return 0
-
-    report = outcome.report
-    horizon = spec.base_config.horizon
-    print(
-        format_table(
-            ["devices", "lots", "lines/device", "horizon", "policy",
-             "executed now", "wall"],
-            [[report.devices, len(spec.lots), spec.base_config.num_lines,
-              units.format_seconds(horizon), spec.policy, outcome.executed,
-              f"{outcome.wall_seconds:.1f}s"]],
-            title=f"Fleet campaign '{spec.name}'",
-        )
-    )
-    _print_fleet_report(report)
-
+    _print_any_report(outcome.report)
     if args.json:
-        _write_output(args.json, report.to_json() + "\n", "fleet report")
+        what = "screened fleet report" if screened else "fleet report"
+        _write_output(args.json, outcome.report.to_json() + "\n", what)
     return 0
 
 
-def _cmd_fleet_screened(args: argparse.Namespace, spec, constraints) -> int:
-    from .screen import run_screened_campaign
-
-    if args.until is not None:
-        raise SystemExit("pcm-scrub: --until is not supported with --screen")
-    outcome = run_screened_campaign(
-        spec,
-        constraints,
-        jobs=_jobs(args),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        stop_after=args.stop_after,
-    )
-    plan = outcome.plan
+def _print_plan(plan, title: str, devices: bool = False) -> None:
+    """A screen plan's verdict counts (``fleet --screen`` and ``submit``)."""
     counts = plan.counts()
-    print(
-        format_table(
-            ["devices", "pass", "fail", "uncertain", "MC escalated",
-             "MC fraction"],
-            [[plan.devices, counts["pass"], counts["fail"],
-              counts["uncertain"], len(plan.escalated),
-              f"{plan.mc_fraction:.1%}"]],
-            title=f"Screen plan for '{spec.name}'",
-        )
-    )
-    if not outcome.finished:
-        mc = outcome.mc_outcome
-        print(
-            format_table(
-                ["campaign", "MC completed", "executed now", "wall"],
-                [[spec.name, f"{mc.completed}/{mc.total}", mc.executed,
-                  f"{mc.wall_seconds:.1f}s"]],
-                title="Screened campaign checkpointed "
-                "(re-run with --resume to finish)",
-            )
-        )
-        return 0
-
-    report = outcome.report
-    _print_screened_report(report)
-    if args.json:
-        _write_output(args.json, report.to_json() + "\n", "screened fleet report")
-    return 0
+    headers = ["pass", "fail", "uncertain", "MC escalated", "MC fraction"]
+    row = [counts["pass"], counts["fail"], counts["uncertain"],
+           len(plan.escalated), f"{plan.mc_fraction:.1%}"]
+    if devices:
+        headers, row = ["devices", *headers], [plan.devices, *row]
+    print(format_table(headers, [row], title=title))
 
 
 def _band(low: float, high: float, fmt: str = "{:.3g}") -> str:
     return f"[{fmt.format(low)}, {fmt.format(high)}]"
+
+
+def _reliability_rows(report) -> list[list]:
+    """The FIT and availability rows both kinds of fleet report end with."""
+    return [
+        ["FIT (simulated pop.)", f"{report.fit:.3g}",
+         _band(report.fit_low, report.fit_high)],
+        [f"FIT ({report.capacity_gib_per_device:g} GiB device)",
+         f"{report.fit_scaled:.3g}",
+         _band(report.fit_scaled_low, report.fit_scaled_high)],
+        ["availability (UE-free)", f"{report.availability:.1%}",
+         _band(report.availability_low, report.availability_high, "{:.3f}")],
+    ]
 
 
 def _print_screened_report(report) -> None:
@@ -1020,14 +985,7 @@ def _print_screened_report(report) -> None:
                 ["surrogate expected UE", f"{report.surrogate_expected_ue:.3g}",
                  ""],
                 ["MC observed UE", report.mc_uncorrectable, ""],
-                ["FIT (simulated pop.)", f"{report.fit:.3g}",
-                 _band(report.fit_low, report.fit_high)],
-                [f"FIT ({report.capacity_gib_per_device:g} GiB device)",
-                 f"{report.fit_scaled:.3g}",
-                 _band(report.fit_scaled_low, report.fit_scaled_high)],
-                ["availability (UE-free)", f"{report.availability:.1%}",
-                 _band(report.availability_low, report.availability_high,
-                       "{:.3f}")],
+                *_reliability_rows(report),
             ],
             title=f"Screened fleet reliability over "
             f"{report.device_hours:.3g} device-hours "
@@ -1060,13 +1018,7 @@ def _print_fleet_report(report) -> None:
         ["scrub writes", report.counts["scrub_writes"], ""],
         ["scrub energy", units.format_energy(report.scrub_energy_j),
          f"{units.format_energy(report.energy_per_gib_j)}/GiB simulated"],
-        ["FIT (simulated pop.)", f"{report.fit:.3g}",
-         _band(report.fit_low, report.fit_high)],
-        [f"FIT ({report.capacity_gib_per_device:g} GiB device)",
-         f"{report.fit_scaled:.3g}",
-         _band(report.fit_scaled_low, report.fit_scaled_high)],
-        ["availability (UE-free)", f"{report.availability:.1%}",
-         _band(report.availability_low, report.availability_high, "{:.3f}")],
+        *_reliability_rows(report),
     ]
     print(
         format_table(
@@ -1122,16 +1074,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
         )
     )
     if campaign.screen is not None:
-        counts = campaign.screen.counts()
-        print(
-            format_table(
-                ["pass", "fail", "uncertain", "MC escalated", "MC fraction"],
-                [[counts["pass"], counts["fail"], counts["uncertain"],
-                  len(campaign.screen.escalated),
-                  f"{campaign.screen.mc_fraction:.1%}"]],
-                title="Screen plan (workers Monte-Carlo only the escalated "
-                "subset)",
-            )
+        _print_plan(
+            campaign.screen,
+            "Screen plan (workers Monte-Carlo only the escalated subset)",
         )
     return 0
 
@@ -1260,37 +1205,31 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 
 def cmd_provision_fleet(args: argparse.Namespace) -> int:
-    from .provision import CandidateSpace, CostModel, ProvisionError, ProvisionSearch
+    from .provision import CandidateSpace, CostModel, ProvisionSearch
 
     spec = _fleet_spec(args.spec)
-    thresholds: tuple = (
-        (None,) if args.thresholds is None else tuple(args.thresholds)
+    space = CandidateSpace(
+        policies=tuple(args.policies),
+        intervals=tuple(args.intervals),
+        strengths=tuple(args.strengths),
+        thresholds=(None,) if args.thresholds is None else tuple(args.thresholds),
+        with_detector=args.with_detector,
     )
-    try:
-        space = CandidateSpace(
-            policies=tuple(args.policies),
-            intervals=tuple(args.intervals),
-            strengths=tuple(args.strengths),
-            thresholds=thresholds,
-            with_detector=args.with_detector,
-        )
-        cost_model = CostModel(
-            dollars_per_gib=args.dollars_per_gib,
-            carbon_intensity_kg_per_kwh=args.carbon_intensity,
-            embodied_kg_per_gib=args.embodied_carbon,
-            amortization_years=args.amortization_years,
-        )
-        report = ProvisionSearch(
-            spec,
-            space=space,
-            cost_model=cost_model,
-            fit_limit=args.fit_limit,
-            confidence=args.confidence,
-            jobs=_jobs(args),
-            exhaustive=args.exhaustive,
-        ).run()
-    except ProvisionError as error:
-        raise SystemExit(f"pcm-scrub: {error}") from None
+    cost_model = CostModel(
+        dollars_per_gib=args.dollars_per_gib,
+        carbon_intensity_kg_per_kwh=args.carbon_intensity,
+        embodied_kg_per_gib=args.embodied_carbon,
+        amortization_years=args.amortization_years,
+    )
+    report = ProvisionSearch(
+        spec,
+        space=space,
+        cost_model=cost_model,
+        fit_limit=args.fit_limit,
+        confidence=args.confidence,
+        jobs=_jobs(args),
+        exhaustive=args.exhaustive,
+    ).run()
 
     candidates = report.candidates_evaluated
     mc_runs = report.mc_device_runs
@@ -1370,9 +1309,31 @@ COMMANDS = {
 }
 
 
+def _user_errors() -> tuple[type[Exception], ...]:
+    """The typed errors a user fixes by changing a flag, a spec or a directory.
+
+    ``main``'s ``except`` clause calls this only once an error arrives, so
+    ``import repro.cli`` loads none of the modules that define them.
+    """
+    from .fields import FieldError
+    from .fleet.checkpoint import CheckpointError
+    from .provision import ProvisionError
+    from .screen import ScreenError
+    from .service import ServiceError
+    from .service.supervisor import ServeFailed
+
+    return (
+        FieldError, ScreenError, ProvisionError, CheckpointError, ServiceError,
+        ServeFailed,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except _user_errors() as error:
+        raise SystemExit(f"pcm-scrub: {error}") from None
 
 
 if __name__ == "__main__":

@@ -78,7 +78,8 @@ class CampaignRunner:
         JSONL journal path; ``None`` runs in memory only.
     resume:
         Continue an existing journal (required when ``checkpoint``
-        already exists; forbidden when it does not).
+        already exists; when it does not, the journal is created as on a
+        fresh run).
     stop_after:
         Checkpoint and return after completing this many devices in
         this invocation - the programmatic form of killing a campaign
@@ -144,8 +145,8 @@ class CampaignRunner:
         if self.checkpoint is not None:
             if self.checkpoint.exists() and not self.resume:
                 raise CheckpointError(
-                    f"checkpoint {self.checkpoint} already exists; pass "
-                    "resume=True to continue it or remove it to restart"
+                    f"checkpoint {self.checkpoint} already exists; "
+                    "resume it or remove it to restart"
                 )
             journaled = open_journal(self.checkpoint, spec_hash, spec.name)
             done = device_records(self.checkpoint, journaled)

@@ -2,11 +2,97 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 
 FAST = ["--lines", "512", "--horizon-days", "1"]
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GLOBAL_DEFAULTS = {
+    "seed": 2012, "lines": 8192, "horizon_days": 14.0, "temperature": 300.0,
+    "jobs": None, "no_fast_forward": False, "engine": "scalar",
+}
+SCREEN_DEFAULTS = {
+    "screen": False, "fit_limit": None, "availability_limit": None,
+    "screen_confidence": 0.95, "availability_margin": 0.02,
+}
+
+#: Each subcommand, its required arguments, and every other field it
+#: parses to when given nothing else.
+SUBCOMMAND_DEFAULTS = [
+    ("drift-curve", [], {"points": 9}),
+    ("compare", [], {"interval": 3600.0, "strength": 4, "workload": "idle",
+                     "write_rate": 100.0, "compensated": False}),
+    ("headline", [], {"interval": 3600.0, "timeseries": None, "profile": False}),
+    ("sweep", [], {"policy": "basic", "strength": 4,
+                   "intervals": [900.0, 1800.0, 3600.0, 7200.0],
+                   "timeseries": None, "profile": False}),
+    ("trace", [], {"interval": 3600.0, "policy": "combined", "strength": 4,
+                   "workload": "idle", "write_rate": 100.0, "samples": 64,
+                   "out": "obs-out"}),
+    ("provision", [], {"budget": [1e-3, 1e-4, 1e-5], "lines_per_bank": 1 << 22,
+                       "strengths": [1, 2, 4, 8]}),
+    ("lifetime", [], {"interval": 3600.0, "demand_writes_per_hour": 1.0,
+                      "endurance": 1e8}),
+    ("export", ["out.csv"], {"interval": 3600.0, "strength": 4,
+                             "output": "out.csv"}),
+    ("verify", [], {"quick": False, "json": None}),
+    ("fleet", ["spec.json"], {"spec": "spec.json", "checkpoint": None,
+                              "resume": False, "stop_after": None,
+                              "until": None, "json": None, **SCREEN_DEFAULTS}),
+    ("submit", ["spec.json", "camp"], {"spec": "spec.json", "root": "camp",
+                                       "shards": None, **SCREEN_DEFAULTS}),
+    ("serve", ["camp"], {"root": "camp", "workers": 2, "max_restarts": 3,
+                         "lease_timeout": 30.0, "snapshot_budget": 256,
+                         "json": None}),
+    ("status", ["camp"], {"root": "camp", "lease_timeout": 30.0, "json": None}),
+    ("watch", ["camp"], {"root": "camp", "interval": 1.0, "timeout": None,
+                         "lease_timeout": 30.0}),
+    ("repair", ["camp"], {"root": "camp", "lease_timeout": 30.0}),
+    ("provision-fleet", ["spec.json"], {
+        "spec": "spec.json", "policies": ["threshold"],
+        "intervals": [1800.0, 3600.0, 7200.0], "strengths": [2, 4],
+        "thresholds": None, "with_detector": False, "fit_limit": None,
+        "confidence": 0.95, "exhaustive": False, "dollars_per_gib": 4.0,
+        "carbon_intensity": 0.4, "embodied_carbon": 0.03,
+        "amortization_years": 5.0, "json": None, "frontier_csv": None,
+        "assignments": None,
+    }),
+]
+
+
+def documented_command_lines() -> list[str]:
+    """Every ``pcm-scrub`` line in a fenced block of the README and docs.
+
+    Continuations are joined and comments dropped; a line holding
+    ``...`` elides arguments and is skipped.
+    """
+    lines = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        fenced, command = False, ""
+        for line in path.read_text().splitlines():
+            if line.lstrip().startswith("```"):
+                fenced, command = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            command += line.split("#", 1)[0]
+            if command.endswith("\\"):
+                command = command[:-1]
+                continue
+            command, text = "", command.strip()
+            if text.startswith("pcm-scrub ") and "..." not in text:
+                lines.append(text)
+    return lines
 
 
 class TestParser:
@@ -15,9 +101,18 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.seed == 2012
-        assert args.workload == "idle"
+        assert sorted(COMMANDS) == sorted(
+            command for command, _, _ in SUBCOMMAND_DEFAULTS
+        )
+        for command, required, fields in SUBCOMMAND_DEFAULTS:
+            args = build_parser().parse_args([command, *required])
+            assert vars(args) == {
+                **GLOBAL_DEFAULTS, "command": command, **fields
+            }, command
+
+    @pytest.mark.parametrize("line", documented_command_lines())
+    def test_documented_command_line_parses(self, line):
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestCommands:
@@ -262,3 +357,102 @@ class TestBadGlobalFlags:
             "pcm-scrub: --intervals must be positive and finite seconds, got nan"
         )
 
+
+
+TINY_FLEET = {
+    "version": 1,
+    "name": "cli-errors",
+    "devices": 2,
+    "policy": "threshold",
+    "policy_kwargs": {"interval": 14400.0, "strength": 3, "threshold": 1},
+    "capacity_gib_per_device": 16.0,
+    "config": {
+        "num_lines": 256,
+        "region_size": 256,
+        "horizon_days": 1.0,
+        "seed": 2012,
+        "endurance": None,
+    },
+    "lots": [{"name": "a", "weight": 1}],
+}
+
+
+class TestUserErrors:
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        """A spec, a different spec, a journal and a submitted campaign."""
+        from repro.fleet import FleetSpec
+        from repro.service import submit_campaign
+
+        (tmp_path / "spec.json").write_text(json.dumps(TINY_FLEET))
+        (tmp_path / "other.json").write_text(
+            json.dumps({**TINY_FLEET, "name": "other"})
+        )
+        (tmp_path / "journal.jsonl").write_text("")
+        submit_campaign(
+            FleetSpec.from_file(tmp_path / "spec.json"), tmp_path / "camp",
+            shards=1,
+        )
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["status", "missing"], "missing is not a campaign directory"),
+            (["watch", "missing"], "missing is not a campaign directory"),
+            (["repair", "missing"], "missing is not a campaign directory"),
+            (["serve", "missing"], "missing is not a campaign directory"),
+            (["submit", "other.json", "camp"], "camp already holds campaign"),
+            (["fleet", "spec.json", "--checkpoint", "journal.jsonl"],
+             "checkpoint journal.jsonl already exists; resume it or remove "
+             "it to restart"),
+            (["fleet", "spec.json", "--resume"],
+             "--resume requires --checkpoint"),
+            (["fleet", "spec.json", "--stop-after", "0"],
+             "--stop-after must be >= 1, got 0"),
+            (["fleet", "spec.json", "--until", "0"],
+             "--until must be >= 1, got 0"),
+            (["submit", "spec.json", "new", "--shards", "0"],
+             "--shards must be >= 1, got 0"),
+            (["sweep", "--policy", "threshold", "--strength", "0"],
+             "--strength must be >= 1, got 0"),
+            (["trace", "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["serve", "camp", "--snapshot-budget", "0"],
+             "--snapshot-budget must be >= 1, got 0"),
+            (["provision-fleet", "spec.json", "--fit-limit", "1e-6",
+              "--assignments", "assignments.json"],
+             "provision search 'cli-errors' found no feasible candidate"),
+        ],
+        ids=[
+            "status-missing", "watch-missing", "repair-missing",
+            "serve-missing", "submit-other-spec", "checkpoint-exists",
+            "resume-without-checkpoint", "stop-after-zero", "until-zero",
+            "shards-zero", "strength-zero", "samples-zero",
+            "snapshot-budget-zero", "no-feasible-assignment",
+        ],
+    )
+    def test_exits_as_one_pcm_scrub_line(self, argv, message, workdir):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", "1", *argv])
+        assert str(exit_info.value).startswith(f"pcm-scrub: {message}")
+        # No command reached a worker: the submitted campaign is untouched.
+        assert not list((workdir / "camp" / "shards").iterdir())
+
+    def test_import_loads_no_boundary_module(self, tmp_path):
+        # A fresh interpreter: this one has loaded them all.
+        script = (
+            "import sys, repro.cli; "
+            "print(sorted(name for name in sys.modules "
+            "if name.split('.')[:2] in (['repro', 'fields'], ['repro', 'fleet'], "
+            "['repro', 'screen'], ['repro', 'provision'], ['repro', 'service'])))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, cwd=tmp_path, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
