@@ -18,8 +18,12 @@ import json
 from collections.abc import Sequence
 from pathlib import Path
 
+from ..durable import atomic_write
 from ..obs.sampler import merge_timeseries
 from ..sim.results import RunResult
+
+#: Path suffixes :func:`write_results` chooses its format by.
+EXPORT_SUFFIXES = (".csv", ".jsonl")
 
 #: Flat columns exported for every run, in order.
 RESULT_COLUMNS = (
@@ -88,11 +92,11 @@ def write_timeseries(
         ],
         "merged": merge_timeseries([r.timeseries for r in results]).to_dict(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def write_results(path, results: Sequence[RunResult]) -> None:
-    """Write results to ``path``; format chosen by suffix (.csv / .jsonl)."""
+    """Publish results at ``path``; format chosen by suffix (.csv / .jsonl)."""
     path = Path(path)
     if path.suffix == ".csv":
         payload = results_to_csv(results)
@@ -100,4 +104,4 @@ def write_results(path, results: Sequence[RunResult]) -> None:
         payload = results_to_jsonl(results) + ("\n" if results else "")
     else:
         raise ValueError(f"unsupported export suffix {path.suffix!r}")
-    path.write_text(payload)
+    atomic_write(path, payload.encode())

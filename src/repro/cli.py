@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import units
+from .analysis.export import EXPORT_SUFFIXES, write_results, write_timeseries
 from .analysis.tables import format_series, format_table
 from .core import (
     adaptive_scrub,
@@ -263,15 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="reliability each ECC strength buys at a bank-time budget",
     )
     provision.add_argument(
-        "--budget", type=float, nargs="+", default=[1e-3, 1e-4, 1e-5],
+        "--budget", nargs="+", default=[1e-3, 1e-4, 1e-5],
+        type=_checked(float, "--budget", "in (0, 1]", lambda value: 0 < value <= 1),
         help="bank-time fractions granted to scrub",
     )
     provision.add_argument(
-        "--lines-per-bank", type=int, default=1 << 22,
+        "--lines-per-bank", type=_count("--lines-per-bank"), default=1 << 22,
         help="bank capacity in 64B lines",
     )
     provision.add_argument(
-        "--strengths", type=int, nargs="+", default=[1, 2, 4, 8]
+        "--strengths", type=_count("--strengths"), nargs="+", default=[1, 2, 4, 8]
     )
 
     lifetime = sub.add_parser(
@@ -292,7 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         "export", parents=[scrub_interval, strength],
         help="run the mechanism comparison and write CSV/JSONL",
     )
-    export.add_argument("output", help="path ending in .csv or .jsonl")
+    export.add_argument(
+        "output", help="path ending in .csv or .jsonl",
+        type=_checked(
+            str, "output", "a path ending in .csv or .jsonl",
+            lambda path: Path(path).suffix in EXPORT_SUFFIXES,
+        ),
+    )
 
     verify = sub.add_parser(
         "verify", parents=[json_out],
@@ -500,8 +508,6 @@ def _write_output(path: str, text: str, what: str) -> None:
 
 
 def _write_timeseries(path: str, labels: list[str], results: list) -> None:
-    from .analysis.export import write_timeseries
-
     write_timeseries(path, labels, results)
     print(f"wrote time series for {len(results)} runs to {path}")
 
@@ -809,8 +815,6 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from .analysis.export import write_results
-
     config = _config(args)
     policies = [
         basic_scrub(args.interval),

@@ -1,4 +1,4 @@
-"""Typed readers for JSON inputs: the one place that decides what a field may hold.
+"""Typed JSON readers and writer: the one place that decides what a field may hold.
 
 Every ``from_dict`` in the package reads untrusted JSON - fleet specs,
 screen plans, shard plans, checkpoint journals, leases and provisioning
@@ -8,9 +8,11 @@ value it accepts, or raises :class:`FieldError` naming the field by its
 path in the document (``lots[0].weight``, ``decisions[3].index``).
 
 :func:`load` builds a frozen dataclass from a JSON object, reading each
-init field with the reader its annotation names.  Formats with curated
-keys (the fleet spec's aliases, a shard's ``id``) read through explicit
-field tables with :func:`read` instead.
+init field with the reader its annotation names, and :func:`dump`, its
+inverse, writes the object back by the same annotations.  Formats with
+curated keys (the fleet spec's aliases and omitted defaults, a shard's
+``id``) read through explicit field tables with :func:`read` and write
+through hand-written ``to_dict`` methods instead.
 """
 
 from __future__ import annotations
@@ -177,3 +179,50 @@ def load(cls, data, path: str = "", ignore: tuple[str, ...] = ()):
         if not path:
             raise
         raise bad(path, str(error)) from None
+
+
+def _written(annotation, value: str) -> str:
+    """Source of an expression writing ``value`` by its annotation (see :func:`dump`)."""
+    if annotation is dict:
+        return f"dict({value})"
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        written = _written(inner, value)
+        return value if written == value else f"None if {value} is None else {written}"
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        # A comprehension reads its iterable before binding ``item``, so
+        # nested tuples can reuse the name.
+        written = _written(args[0], "item")
+        return f"list({value})" if written == "item" else f"[{written} for item in {value}]"
+    if dataclasses.is_dataclass(annotation):
+        return f"{value}.to_dict()"
+    return value
+
+
+@functools.cache
+def _writer(cls):
+    """``cls``'s writer, compiled once per class as ``dataclasses`` compiles ``__init__``."""
+    hints = typing.get_type_hints(cls)
+    items = "".join(
+        f"        {field.name!r}: {_written(hints[field.name], 'obj.' + field.name)},\n"
+        for field in dataclasses.fields(cls)
+        if field.init
+    )
+    namespace: dict = {}
+    exec(f"def write(obj):\n    return {{\n{items}    }}\n", namespace)
+    return namespace["write"]
+
+
+def dump(obj) -> dict:
+    """The JSON object :func:`load` reads back into the frozen dataclass ``obj``.
+
+    Each init field is written, in declaration order, by the rule its
+    annotation names: ``dict`` as a copy, ``tuple[X, ...]`` as a list of
+    its items written as ``X``, ``X | None`` as ``null`` or as ``X``, and
+    a nested dataclass through its own ``to_dict()``.  Any other value
+    is written as it is held.  A ``to_dict`` adds by hand only the keys
+    it derives, which its ``from_dict`` passes to :func:`load` as
+    ``ignore``.
+    """
+    return _writer(type(obj))(obj)

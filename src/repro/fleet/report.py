@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from ..analysis.stats import binomial_interval, poisson_interval
-from ..fields import load
+from ..fields import dump, load
 from ..sim.results import RunResult
 from .spec import DeviceSpec, FleetSpec
 
@@ -117,18 +117,7 @@ class DeviceRecord:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lot": self.lot,
-            "seed": self.seed,
-            "temperature_k": self.temperature_k,
-            "nu_mu_scale": self.nu_mu_scale,
-            "nu_sigma_scale": self.nu_sigma_scale,
-            "endurance_mean": self.endurance_mean,
-            "summary": dict(self.summary),
-            "final_state": dict(self.final_state),
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "DeviceRecord":

@@ -18,6 +18,8 @@ import json
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
+from ..durable import atomic_write
+
 
 class TimeSeries:
     """An ordered list of metric snapshots at simulated times."""
@@ -56,7 +58,7 @@ class TimeSeries:
         return json.dumps(self.to_dict(), indent=indent)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        atomic_write(path, (self.to_json() + "\n").encode())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .. import units
-from ..fields import load
+from ..fields import dump, load
 
 #: Joules per kilowatt-hour (grid carbon intensity is quoted per kWh).
 J_PER_KWH = 3.6e6
@@ -60,6 +60,7 @@ class CostModel:
             value = getattr(self, field.name)
             if not math.isfinite(value):
                 raise ProvisionError(f"{field.name} must be finite, got {value!r}")
+            object.__setattr__(self, field.name, float(value))
         if self.dollars_per_gib < 0:
             raise ProvisionError("dollars_per_gib must be >= 0")
         if self.carbon_intensity_kg_per_kwh < 0:
@@ -131,14 +132,7 @@ class CostModel:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "dollars_per_gib": float(self.dollars_per_gib),
-            "carbon_intensity_kg_per_kwh": float(
-                self.carbon_intensity_kg_per_kwh
-            ),
-            "embodied_kg_per_gib": float(self.embodied_kg_per_gib),
-            "amortization_years": float(self.amortization_years),
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "CostModel":

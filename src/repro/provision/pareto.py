@@ -29,7 +29,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from ..fields import load
+from ..fields import dump, load
 
 
 class ParetoError(ValueError):
@@ -62,7 +62,7 @@ class ParetoPoint:
         object.__setattr__(self, "values", values)
 
     def to_dict(self) -> dict:
-        return {"key": self.key, "values": list(self.values)}
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "ParetoPoint":

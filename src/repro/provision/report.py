@@ -22,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass, replace
 
-from ..fields import load, mapping
+from ..fields import dump, load, mapping
 from ..fleet.spec import FleetSpec
 from .cost import CostModel
 from .pareto import merge_frontiers
@@ -140,21 +140,11 @@ class ProvisionReport:
     def to_dict(self) -> dict:
         return {
             "version": REPORT_VERSION,
-            "name": self.name,
-            "spec_hash": self.spec_hash,
-            "devices": self.devices,
-            "horizon": float(self.horizon),
-            "fit_limit": self.fit_limit,
-            "confidence": self.confidence,
-            "exhaustive": self.exhaustive,
-            "cost_model": self.cost_model.to_dict(),
-            "space": self.space.to_dict(),
+            **dump(self),
             "axes": list(AXES),
             "candidates_evaluated": self.candidates_evaluated,
-            "mc_device_runs": self.mc_device_runs,
             "frontier_size": self.frontier_size,
             "recommended": self.recommended,
-            "lots": [lot.to_dict() for lot in self.lots],
         }
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 from ..core.threshold import default_threshold
 from ..fields import (
-    FieldError, array, flag, integer, load, optional, positive, real, text,
+    FieldError, array, dump, flag, integer, load, optional, positive, real, text,
 )
 from ..fleet.campaign import CampaignRunner
 from ..fleet.report import FIT_HOURS, per_gib
@@ -193,14 +193,7 @@ class Candidate:
         return POLICY_FACTORIES[self.policy](**self.policy_kwargs())
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "interval": self.interval,
-            "strength": self.strength,
-            "threshold": self.threshold,
-            "with_detector": self.with_detector,
-            "key": self.key,
-        }
+        return {**dump(self), "key": self.key}
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "Candidate":
@@ -267,13 +260,7 @@ class CandidateSpace:
         return tuple(seen.values())
 
     def to_dict(self) -> dict:
-        return {
-            "policies": list(self.policies),
-            "intervals": list(self.intervals),
-            "strengths": list(self.strengths),
-            "thresholds": list(self.thresholds),
-            "with_detector": self.with_detector,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "CandidateSpace":
@@ -336,24 +323,7 @@ class CandidateEvaluation:
         return ParetoPoint(key=self.candidate.key, values=self.axes())
 
     def to_dict(self) -> dict:
-        return {
-            "lot": self.lot,
-            "candidate": self.candidate.to_dict(),
-            "devices": self.devices,
-            "surrogate_devices": self.surrogate_devices,
-            "mc_devices": self.mc_devices,
-            "method": self.method,
-            "expected_ue": self.expected_ue,
-            "expected_writes": self.expected_writes,
-            "scrub_energy_j": self.scrub_energy_j,
-            "fit_scaled": self.fit_scaled,
-            "energy_per_gib_j": self.energy_per_gib_j,
-            "writes_per_device": self.writes_per_device,
-            "dollars_per_gib": self.dollars_per_gib,
-            "carbon_per_gib_kg": self.carbon_per_gib_kg,
-            "feasible": self.feasible,
-            "infeasible_reason": self.infeasible_reason,
-        }
+        return {**dump(self), "method": self.method}
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "CandidateEvaluation":
@@ -390,13 +360,7 @@ class LotProvision:
         return tuple(self.evaluation(key).point() for key in self.frontier)
 
     def to_dict(self) -> dict:
-        return {
-            "lot": self.lot,
-            "devices": self.devices,
-            "evaluations": [e.to_dict() for e in self.evaluations],
-            "frontier": list(self.frontier),
-            "recommended": self.recommended,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "LotProvision":
@@ -721,7 +685,7 @@ class ProvisionSearch:
             name=self.spec.name,
             spec_hash=self.spec.content_hash(),
             devices=self.spec.devices,
-            horizon=self.spec.base_config.horizon,
+            horizon=float(self.spec.base_config.horizon),
             fit_limit=self.fit_limit,
             confidence=self.confidence,
             exhaustive=self.exhaustive,

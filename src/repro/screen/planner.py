@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.stats import poisson_quantile
-from ..fields import load
+from ..fields import dump, load
 from ..fleet.report import FIT_HOURS
 from ..fleet.spec import DeviceSpec, FleetSpec
 from ..obs.metrics import GLOBAL_REGISTRY
@@ -126,12 +126,7 @@ class ScreenConstraints:
             raise ScreenError("availability_margin must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "fit_limit": self.fit_limit,
-            "min_availability": self.min_availability,
-            "confidence": self.confidence,
-            "availability_margin": self.availability_margin,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "ScreenConstraints":
@@ -173,17 +168,11 @@ class ScreenDecision:
         return MC if self.classification == UNCERTAIN else SURROGATE
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "lot": self.lot,
-            "classification": self.classification,
-            "method": self.method,
-            "reasons": list(self.reasons),
-            "expected_ue": self.expected_ue,
-            "expected_writes": self.expected_writes,
-            "no_ue_probability": self.no_ue_probability,
-            "fit_scaled": self.fit_scaled,
-        }
+        # Added in place, not merged into a copy: a plan writes one
+        # decision per device.
+        written = dump(self)
+        written["method"] = self.method
+        return written
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "ScreenDecision":
@@ -238,11 +227,7 @@ class ScreenPlan:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "constraints": self.constraints.to_dict(),
-            "decisions": [decision.to_dict() for decision in self.decisions],
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "ScreenPlan":

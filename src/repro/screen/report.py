@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from ..analysis.stats import binomial_interval, poisson_interval
+from ..fields import dump
 from ..fleet.report import FIT_HOURS, DeviceRecord, FleetReport, aggregate_partial
 from ..fleet.spec import FleetSpec
 from .planner import MC, ScreenInvariantError, ScreenPlan
@@ -66,11 +67,11 @@ class ScreenedFleetReport:
     availability: float
     availability_low: float
     availability_high: float
+    #: Classification counts from the plan (pass / fail / uncertain).
+    classifications: dict
     #: Per-device provenance rows (index, lot, method, classification,
     #: reasons, expected vs observed UE).
     provenance: tuple[dict, ...]
-    #: Classification counts from the plan (pass / fail / uncertain).
-    classifications: dict
     #: The MC subset aggregated on its own (``None`` when nothing
     #: escalated) - energy, per-lot counters, survival for that share.
     mc_report: FleetReport | None
@@ -81,29 +82,7 @@ class ScreenedFleetReport:
         return self.devices / self.mc_devices if self.mc_devices else float("inf")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "devices": self.devices,
-            "device_hours": self.device_hours,
-            "capacity_gib_per_device": self.capacity_gib_per_device,
-            "surrogate_devices": self.surrogate_devices,
-            "mc_devices": self.mc_devices,
-            "mc_fraction": self.mc_fraction,
-            "surrogate_expected_ue": self.surrogate_expected_ue,
-            "mc_uncorrectable": self.mc_uncorrectable,
-            "fit": self.fit,
-            "fit_low": self.fit_low,
-            "fit_high": self.fit_high,
-            "fit_scaled": self.fit_scaled,
-            "fit_scaled_low": self.fit_scaled_low,
-            "fit_scaled_high": self.fit_scaled_high,
-            "availability": self.availability,
-            "availability_low": self.availability_low,
-            "availability_high": self.availability_high,
-            "classifications": dict(self.classifications),
-            "provenance": [dict(row) for row in self.provenance],
-            "mc_report": None if self.mc_report is None else self.mc_report.to_dict(),
-        }
+        return dump(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -211,7 +190,7 @@ def compose_screened_report(
         availability=availability,
         availability_low=availability_low,
         availability_high=availability_high,
-        provenance=tuple(provenance),
         classifications=plan.counts(),
+        provenance=tuple(provenance),
         mc_report=mc_report,
     )

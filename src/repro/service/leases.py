@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..durable import atomic_write
-from ..fields import load
+from ..fields import dump, load
 
 #: Seconds without a heartbeat before a lease is presumed dead.  Workers
 #: heartbeat at every device completion *and* every mid-device snapshot
@@ -48,13 +48,7 @@ class Lease:
     heartbeat: float
 
     def to_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "pid": self.pid,
-            "host": self.host,
-            "acquired": self.acquired,
-            "heartbeat": self.heartbeat,
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: dict, path: str = "") -> "Lease":

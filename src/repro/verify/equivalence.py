@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 from .. import units
 from ..analysis.stats import poisson_interval
+from ..fields import dump
 from ..sim.analytic import AnalyticModel
 from ..sim.config import SimulationConfig
 from ..sim.parallel import RunSpec, run_many
@@ -109,16 +110,7 @@ class EquivalenceRow:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "label": self.label,
-            "metric": self.metric,
-            "observed": self.observed,
-            "expected": self.expected,
-            "low": self.low,
-            "high": self.high,
-            "passed": self.passed,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,7 @@ class EquivalenceReport:
         return tuple(row for row in self.rows if not row.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return {"passed": self.passed, **dump(self)}
 
 
 def analytic_grid(quick: bool = False) -> list[tuple[float, int]]:

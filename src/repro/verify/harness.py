@@ -29,6 +29,7 @@ from ..core import (
     strong_ecc_scrub,
     threshold_scrub,
 )
+from ..fields import dump
 from ..params import EnduranceSpec
 from ..sim.config import SimulationConfig
 from ..sim.parallel import parallel_map
@@ -54,13 +55,7 @@ class InvariantCase:
     uncorrectable: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "violation": self.violation,
-            "visits": self.visits,
-            "uncorrectable": self.uncorrectable,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -78,10 +73,7 @@ class InvariantReport:
         return tuple(case for case in self.cases if not case.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "cases": [case.to_dict() for case in self.cases],
-        }
+        return {"passed": self.passed, **dump(self)}
 
 
 @dataclass(frozen=True)
@@ -101,12 +93,7 @@ class VerifyReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "invariants": self.invariants.to_dict(),
-            "metamorphic": self.metamorphic.to_dict(),
-            "equivalence": self.equivalence.to_dict(),
-        }
+        return {"passed": self.passed, **dump(self)}
 
 
 def invariant_cases(

@@ -46,6 +46,7 @@ from .. import units
 from ..analysis.sweeps import sweep_policies
 from ..core.threshold import ThresholdScrubPolicy
 from ..ecc.schemes import get_scheme
+from ..fields import dump
 from ..sim.config import SimulationConfig
 from ..sim.parallel import RunSpec, run_many
 
@@ -63,7 +64,7 @@ class PropertyCase:
     value: float
 
     def to_dict(self) -> dict:
-        return {"label": self.label, "value": self.value}
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,7 @@ class PropertyResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "relation": self.relation,
-            "cases": [case.to_dict() for case in self.cases],
-            "passed": self.passed,
-        }
+        return dump(self)
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,7 @@ class MetamorphicReport:
         return tuple(result for result in self.results if not result.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "results": [result.to_dict() for result in self.results],
-        }
+        return {"passed": self.passed, **dump(self)}
 
 
 def _non_decreasing(values: list[float]) -> bool:

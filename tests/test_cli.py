@@ -220,6 +220,13 @@ class TestObservability:
         assert len(blob["runs"]) == 2
         assert "merged" in blob
 
+    def test_timeseries_creates_its_directory(self, capsys, tmp_path):
+        path = tmp_path / "new" / "ts.json"
+        assert main(["--lines", "1024", "--horizon-days", "1", "sweep",
+                     "--intervals", "3600", "--timeseries", str(path)]) == 0
+        assert f"to {path}" in capsys.readouterr().out
+        assert len(json.loads(path.read_text())["runs"]) == 1
+
     def test_reduction_cell_degrades_to_na(self):
         from repro.cli import _reduction_cell
 
@@ -423,6 +430,14 @@ class TestUserErrors:
             (["provision-fleet", "spec.json", "--fit-limit", "1e-6",
               "--assignments", "assignments.json"],
              "provision search 'cli-errors' found no feasible candidate"),
+            (["export", "out.txt"],
+             "output must be a path ending in .csv or .jsonl, got 'out.txt'"),
+            (["provision", "--strengths", "0"], "--strengths must be >= 1, got 0"),
+            (["provision", "--lines-per-bank", "0"],
+             "--lines-per-bank must be >= 1, got 0"),
+            (["provision", "--budget", "0"], "--budget must be in (0, 1], got 0.0"),
+            (["provision", "--budget", "1e-4", "2"],
+             "--budget must be in (0, 1], got 2.0"),
         ],
         ids=[
             "status-missing", "watch-missing", "repair-missing",
@@ -430,6 +445,8 @@ class TestUserErrors:
             "resume-without-checkpoint", "stop-after-zero", "until-zero",
             "shards-zero", "strength-zero", "samples-zero",
             "snapshot-budget-zero", "no-feasible-assignment",
+            "export-suffix", "strengths-zero", "lines-per-bank-zero",
+            "budget-zero", "budget-above-one",
         ],
     )
     def test_exits_as_one_pcm_scrub_line(self, argv, message, workdir):

@@ -1,15 +1,20 @@
-"""The shared JSON readers (:mod:`repro.fields`) behind every ``from_dict``.
+"""The shared JSON readers and writer (:mod:`repro.fields`) behind every
+``from_dict`` and most ``to_dict`` methods.
 
 * The law: replacing any one field of a real document with arbitrary
   JSON either loads an object that writes back and reloads to the same
   document, or raises a ``ValueError`` naming the replaced field.
 * The loose inputs the per-class readers used to coerce or ignore each
   raise a ``ValueError`` naming the field by its path.
+* Every writer built on :func:`repro.fields.dump` writes its init fields
+  in declaration order plus only the keys it derives, and its reader
+  loads that form back.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -17,8 +22,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fields import FieldError, load
-from repro.fleet import load_journal, run_campaign
+from repro.fields import FieldError, dump, load
+from repro.fleet import FleetSpec, load_journal, run_campaign
 from repro.fleet.checkpoint import device_records
 from repro.fleet.report import DeviceRecord
 from repro.provision import (
@@ -31,9 +36,19 @@ from repro.provision import (
     ProvisionReport,
     ProvisionSearch,
 )
-from repro.screen import ScreenConstraints, ScreenDecision, ScreenPlan, plan_screen
+from repro.screen import (
+    ScreenConstraints,
+    ScreenDecision,
+    ScreenedFleetReport,
+    ScreenPlan,
+    plan_screen,
+    run_screened_campaign,
+)
 from repro.service.leases import Lease, try_acquire
 from repro.service.shards import CampaignShard, plan_subset_shards
+from repro.verify.equivalence import EquivalenceReport, EquivalenceRow
+from repro.verify.harness import InvariantCase, InvariantReport, VerifyReport
+from repro.verify.metamorphic import MetamorphicReport, PropertyCase, PropertyResult
 
 from .provision.conftest import make_spec as provision_spec
 from .provision.conftest import small_space
@@ -219,6 +234,9 @@ class Point:
         if self.x < 0:
             raise ValueError("x must be >= 0")
 
+    def to_dict(self) -> dict:
+        return dump(self)
+
     @classmethod
     def from_dict(cls, data, path: str = "") -> "Point":
         return load(cls, data, path)
@@ -229,9 +247,23 @@ class Pair:
     first: Point
     second: Point | None = None
 
+    def to_dict(self) -> dict:
+        return dump(self)
+
     @classmethod
     def from_dict(cls, data, path: str = "") -> "Pair":
         return load(cls, data, path)
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Every annotation kind :func:`dump` writes by a rule."""
+
+    points: tuple[Point, ...]
+    meta: dict
+    anchor: Point | None = None
+    weights: tuple[float | None, ...] = ()
+    pairs: tuple[Pair, ...] = ()
 
 
 class TestLoad:
@@ -259,3 +291,126 @@ class TestLoad:
 
     def test_ignored_keys_are_skipped(self):
         assert load(Point, {"x": 1, "kind": "point"}, ignore=("kind",)) == Point(1)
+
+
+SHAPES = [
+    Shape(points=(), meta={}),
+    Shape(
+        points=(Point(1, tags=("a", "b")), Point(2, label="p", scale=0.5)),
+        meta={"k": [1, 2], "nested": {"x": None}},
+        anchor=Point(3),
+        weights=(0.25, None),
+        pairs=(Pair(Point(4)), Pair(Point(5), Point(6, tags=("c",)))),
+    ),
+]
+
+
+class TestDump:
+    def test_writes_each_annotation(self):
+        written = dump(SHAPES[1])
+        assert written == {
+            "points": [
+                {"x": 1, "label": "", "tags": ["a", "b"], "scale": None},
+                {"x": 2, "label": "p", "tags": [], "scale": 0.5},
+            ],
+            "meta": {"k": [1, 2], "nested": {"x": None}},
+            "anchor": {"x": 3, "label": "", "tags": [], "scale": None},
+            "weights": [0.25, None],
+            "pairs": [
+                {"first": {"x": 4, "label": "", "tags": [], "scale": None},
+                 "second": None},
+                {"first": {"x": 5, "label": "", "tags": [], "scale": None},
+                 "second": {"x": 6, "label": "", "tags": ["c"], "scale": None}},
+            ],
+        }
+        assert list(written) == [field.name for field in dataclasses.fields(Shape)]
+        assert type(written["points"][0]["tags"]) is list
+        assert dump(SHAPES[0])["anchor"] is None
+
+    def test_a_dict_field_is_a_copy(self):
+        shape = SHAPES[1]
+        written = dump(shape)
+        assert written["meta"] == shape.meta and written["meta"] is not shape.meta
+        written["meta"]["k"] = "changed"
+        assert shape.meta["k"] == [1, 2]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["empty", "full"])
+    def test_load_reads_back_what_dump_writes(self, shape):
+        assert load(Shape, dump(shape)) == shape
+        assert load(Shape, json.loads(json.dumps(dump(shape)))) == shape
+
+
+#: Keys each writer built on ``dump`` derives beyond its init fields.
+DERIVED = {
+    ScreenConstraints: (), ScreenDecision: ("method",), ScreenPlan: (),
+    ScreenedFleetReport: (), Lease: (), DeviceRecord: (),
+    Candidate: ("key",), CandidateSpace: (), CandidateEvaluation: ("method",),
+    LotProvision: (), ParetoPoint: (), CostModel: (),
+    ProvisionReport: ("version", "axes", "candidates_evaluated", "frontier_size",
+                      "recommended"),
+    EquivalenceRow: (), PropertyCase: (), PropertyResult: (), InvariantCase: (),
+    EquivalenceReport: ("passed",), MetamorphicReport: ("passed",),
+    InvariantReport: ("passed",), VerifyReport: ("passed",),
+}
+
+
+@pytest.fixture(scope="module")
+def written_objects(documents) -> dict:
+    """One real instance of every class whose writer is built on ``dump``."""
+    objects = {
+        reader: reader.from_dict(document)
+        for reader, document in documents.items()
+        if reader in DERIVED
+    }
+    spec = screen_spec()
+    objects[ScreenedFleetReport] = run_screened_campaign(
+        spec, make_constraints(spec), jobs=1
+    ).report
+    row = EquivalenceRow(check="analytic", label="T=1.0h t=2", metric="uncorrectable",
+                         observed=3.0, expected=2.5, low=1.0, high=6.0, passed=True)
+    result = PropertyResult(name="interval", relation="UE non-decreasing",
+                            cases=(PropertyCase(label="T=1h", value=2.0),), passed=True)
+    case = InvariantCase(name="basic", passed=False,
+                         violation={"invariant": "conservation"}, visits=3)
+    objects[EquivalenceRow] = row
+    objects[PropertyCase] = result.cases[0]
+    objects[PropertyResult] = result
+    objects[InvariantCase] = case
+    objects[EquivalenceReport] = EquivalenceReport(rows=(row,))
+    objects[MetamorphicReport] = MetamorphicReport(results=(result,))
+    objects[InvariantReport] = InvariantReport(cases=(case,))
+    objects[VerifyReport] = VerifyReport(
+        objects[InvariantReport], objects[MetamorphicReport], objects[EquivalenceReport]
+    )
+    return objects
+
+
+@pytest.mark.parametrize("cls", list(DERIVED), ids=lambda cls: cls.__name__)
+def test_writer_writes_its_fields_and_derived_keys(written_objects, cls):
+    obj = written_objects[cls]
+    written = obj.to_dict()
+    fields = [field.name for field in dataclasses.fields(cls) if field.init]
+    derived = DERIVED[cls]
+    assert len(written) == len(fields) + len(derived)
+    assert [key for key in written if key not in derived] == fields
+    assert set(derived) <= set(written)
+    if "passed" in derived:
+        assert next(iter(written)) == "passed"
+    if hasattr(cls, "from_dict"):
+        # ``load`` rejects any key it neither reads nor ignores, so this
+        # holds only if every derived key is among the reader's ``ignore``.
+        assert cls.from_dict(json.loads(json.dumps(written))) == obj
+
+
+def test_cost_model_holds_floats():
+    written = CostModel(dollars_per_gib=4).to_dict()["dollars_per_gib"]
+    assert written == 4.0 and type(written) is float
+
+
+def test_report_horizon_is_a_float_for_an_integer_spec_horizon():
+    document = json.loads(json.dumps(provision_spec().to_dict()))
+    document["config"]["horizon"] = 864000
+    spec = FleetSpec.from_dict(document)
+    assert type(spec.base_config.horizon) is int
+    written = ProvisionSearch(spec, small_space()).run().to_dict()["horizon"]
+    assert written == 864000.0 and type(written) is float
