@@ -21,10 +21,10 @@ BUDGETS = [1e-3, 1e-4, 3e-5, 1e-5]
 STRENGTHS = [1, 2, 4, 8]
 
 
-def compute(jobs: int = 1) -> list[list[object]]:
+def compute() -> list[list[object]]:
     rows = []
     for budget, strength, interval, failure in provision_grid(
-        BUDGETS, STRENGTHS, LINES_PER_BANK, jobs=jobs
+        BUDGETS, STRENGTHS, LINES_PER_BANK
     ):
         if interval is None:
             rows.append([f"{budget:.0e}", f"bch{strength}", "infeasible", "-"])
@@ -40,12 +40,11 @@ def compute(jobs: int = 1) -> list[list[object]]:
     return rows
 
 
-def test_a05_budget_provisioning(benchmark, emit, bench_jobs, bench_summary):
+def test_a05_budget_provisioning(benchmark, emit, bench_summary):
     started = time.perf_counter()
-    rows = benchmark.pedantic(compute, args=(bench_jobs,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     bench_summary["a05_budget_provisioning"] = {
         "runs": len(rows),
-        "jobs": bench_jobs,
         "wall_seconds": round(time.perf_counter() - started, 4),
     }
     emit(

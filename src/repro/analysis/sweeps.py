@@ -4,21 +4,28 @@ Benchmarks express "run these policies at these intervals under this
 workload" once, through these helpers, and get back result grids ready for
 :mod:`repro.analysis.tables`.
 
-All sweeps accept ``jobs``: with ``jobs > 1`` the independent runs fan out
-across a process pool (:mod:`repro.sim.parallel`) with bit-identical
-results — every run's randomness derives from its config seed, never from
-worker placement.
+The simulation sweeps accept ``jobs``: with ``jobs > 1`` the independent
+runs fan out across a process pool (:mod:`repro.sim.parallel`) with
+bit-identical results — every run's randomness derives from its config
+seed, never from worker placement.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from ..core.budgeted import reliability_at_budget
 from ..core.policy import ScrubPolicy
+from ..params import CellSpec
+from ..sim.analytic import AnalyticModel
 from ..sim.config import SimulationConfig
 from ..sim.parallel import RunSpec, parallel_map, run_many
 from ..sim.results import RunResult
-from ..sim.runner import crossing_distribution_for, run_experiment
+from ..sim.runner import (
+    cached_crossing_distribution,
+    crossing_distribution_for,
+    run_experiment,
+)
 from ..workloads.generators import DemandRates
 
 PolicyFactory = Callable[[float], ScrubPolicy]
@@ -80,50 +87,32 @@ def sweep_policies(
     return parallel_map(_run_prebuilt, tasks, jobs=jobs)
 
 
-def _provision_task(
-    task: tuple[float, int, int, float],
-) -> tuple[float, int, float | None, float | None]:
-    from ..core.budgeted import reliability_at_budget
-    from ..params import CellSpec
-    from ..sim.analytic import AnalyticModel
-    from ..sim.runner import cached_crossing_distribution
-
-    budget, strength, lines_per_bank, temperature_k = task
-    model = AnalyticModel(
-        cached_crossing_distribution(CellSpec(), temperature_k), 256
-    )
-    try:
-        interval, failure = reliability_at_budget(
-            model, lines_per_bank, budget, strength
-        )
-    except ValueError:
-        return budget, strength, None, None
-    return budget, strength, interval, failure
-
-
 def provision_grid(
     budgets: Sequence[float],
     strengths: Sequence[int],
     lines_per_bank: int,
     temperature_k: float = 300.0,
-    jobs: int = 1,
 ) -> list[tuple[float, int, float | None, float | None]]:
     """Affordable interval and per-visit failure for each (budget, strength).
 
     Returns ``(budget, strength, interval, failure)`` rows in grid order;
     ``interval``/``failure`` are ``None`` when the budget cannot sustain
-    the strength (infeasible point).
+    the strength (infeasible point).  Each point is closed-form, so the
+    grid runs in this process: a pool costs more than the whole grid.
     """
     if not budgets or not strengths:
         raise ValueError("budgets and strengths must be non-empty")
-    tasks = [
-        (budget, strength, lines_per_bank, temperature_k)
-        for budget in budgets
-        for strength in strengths
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        from ..params import CellSpec
-        from ..sim.runner import cached_crossing_distribution
-
-        cached_crossing_distribution(CellSpec(), temperature_k)
-    return parallel_map(_provision_task, tasks, jobs=jobs)
+    model = AnalyticModel(
+        cached_crossing_distribution(CellSpec(), temperature_k), 256
+    )
+    rows = []
+    for budget in budgets:
+        for strength in strengths:
+            try:
+                interval, failure = reliability_at_budget(
+                    model, lines_per_bank, budget, strength
+                )
+            except ValueError:
+                interval = failure = None
+            rows.append((budget, strength, interval, failure))
+    return rows

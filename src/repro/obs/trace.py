@@ -5,20 +5,21 @@ event name has a declared field set (:data:`EVENT_FIELDS`) and tracers
 validate emissions against it, so a trace is a schema'd record of what the
 scrubber observed and did, not free-form logging.
 
-Three tracer implementations share the tiny :class:`Tracer` interface:
+Two tracer implementations share the tiny :class:`Tracer` interface:
 
-* :class:`NullTracer` - the default; ``enabled`` is ``False`` so hot paths
-  skip even building the event payload;
+* the base :class:`Tracer` (shared as :data:`NULL_TRACER`) - the default;
+  ``enabled`` is ``False`` so hot paths skip even building the event
+  payload;
 * :class:`RecordingTracer` - appends events to an in-memory list.  This is
   what runs inside (possibly worker) processes: the list rides back on
   :class:`repro.sim.results.RunResult` and is merged/persisted by the
-  parent;
-* :class:`JsonlTracer` - streams one JSON object per line to a file,
-  for direct API use on long single runs.
+  parent.
 
 :func:`merge_traces` interleaves per-run event lists deterministically
 (by time, then run order, then per-run sequence), so a sweep's merged
 trace is identical whether the runs executed serially or on a pool.
+:func:`write_trace` publishes an event list as a JSONL file, one JSON
+object per line, through :func:`repro.durable.atomic_write`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import IO
+
+from ..durable import atomic_write
 
 #: Event schema: required payload fields per event type (beyond the
 #: implicit ``event``/``t``/``seq`` every record carries).  Emissions may
@@ -115,45 +117,11 @@ class RecordingTracer(Tracer):
         )
 
 
-class JsonlTracer(Tracer):
-    """Streams events to a JSONL sink (a path or an open text file)."""
-
-    enabled = True
-
-    def __init__(self, sink: str | Path | IO[str]):
-        if isinstance(sink, (str, Path)):
-            self._file: IO[str] = open(sink, "w", encoding="utf-8")
-            self._owns_file = True
-        else:
-            self._file = sink
-            self._owns_file = False
-        self.emitted = 0
-
-    def emit(self, event: str, time: float, **fields) -> None:
-        _validate(event, fields)
-        record = {"event": event, "t": float(time), "seq": self.emitted, **fields}
-        self._file.write(json.dumps(record) + "\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._owns_file:
-            self._file.close()
-
-    def __enter__(self) -> "JsonlTracer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def write_trace(events: Iterable[dict], path: str | Path) -> int:
-    """Write recorded events to ``path`` as JSONL; returns the line count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event) + "\n")
-            count += 1
-    return count
+    """Publish recorded events at ``path`` as JSONL; returns the line count."""
+    lines = [json.dumps(event) + "\n" for event in events]
+    atomic_write(path, "".join(lines).encode())
+    return len(lines)
 
 
 def merge_traces(traces: Sequence[Sequence[dict] | None]) -> list[dict]:

@@ -16,11 +16,12 @@ sharing the filesystem can participate:
       leases/shard-0000.json    # live claim (leases.py)
       snapshots/device-00003.npz  # mid-horizon EngineSnapshot, transient
 
-Ground truth for progress is always the shard *journals* (append-only,
-spec-hash-validated); ``.done`` markers and leases are advisory
-metadata for scheduling and latency reporting.  The spec hash stored in
-``spec.json`` binds every journal and snapshot fingerprint to one
-campaign, so directories can never silently mix work from two specs.
+The shard *journals* (append-only, spec-hash-validated) answer status,
+resume and reports.  ``.done`` markers and leases answer "which shard
+next": a worker skips a marked shard, and a marker is published only
+after its shard's last device is journaled and fsynced.  The spec hash
+stored in ``spec.json`` binds every journal and snapshot fingerprint to
+one campaign, so directories can never silently mix work from two specs.
 
 A campaign submitted with :class:`repro.screen.ScreenConstraints` is a
 *screened* campaign: ``screen.json`` records every device's surrogate
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from ..durable import atomic_write
 from ..fields import array
-from ..fleet.checkpoint import CheckpointError, device_records, load_journal
+from ..fleet.checkpoint import device_records, load_journal
 from ..fleet.report import DeviceRecord
 from ..fleet.spec import FleetSpec
 from ..screen import ScreenConstraints, ScreenInvariantError, ScreenPlan, plan_screen
@@ -125,14 +126,6 @@ class Campaign:
                     f"[{shard.start}, {shard.stop})"
                 )
         return device_records(path, journaled)
-
-    def shard_complete(self, shard: CampaignShard) -> bool:
-        if self.marker_path(shard).exists():
-            return True
-        try:
-            return len(self.shard_records(shard)) == shard.count
-        except CheckpointError:
-            return False
 
 
 def submit_campaign(

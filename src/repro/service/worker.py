@@ -1,20 +1,23 @@
 """The worker loop: claim a shard, run its devices resumably, repeat.
 
 A worker is a plain function over a campaign directory - no sockets, no
-broker.  It scans the shard plan in order, skips complete shards, breaks
-stale leases (dead workers' shards re-queue automatically), and claims
-the first free shard via exclusive lease creation.  Within a shard it
-drives each device through :func:`repro.sim.snapshot.run_resumable`, so
-a multi-year-horizon device suspends to ``snapshots/device-N.npz`` every
+broker.  It scans the shard plan in order, skips shards whose ``.done``
+marker exists (it reads no journal to decide), breaks stale leases (dead
+workers' shards re-queue automatically), and claims the first free shard
+via exclusive lease creation.  Within a shard it drives each device
+through :func:`repro.sim.snapshot.run_resumable`, so a
+multi-year-horizon device suspends to ``snapshots/device-N.npz`` every
 ``snapshot_budget`` events and a successor worker resumes it
 *mid-horizon*, bit-identically, instead of restarting the device.
 
 Durability ordering per device: journal append (fsynced) first, then
 snapshot deletion - a kill between the two leaves a snapshot that is
-simply ignored (the journal says the device is done).  Heartbeats ride
-on the same callbacks as snapshots, so "lease is fresh" implies "work
-is checkpointed no older than the heartbeat", which is what makes the
-lease timeout a bound on lost work.
+simply ignored (the journal says the device is done).  The shard's
+marker follows its last append, so a marker implies a complete journal;
+a shard killed between the two is claimed again, runs nothing and gets
+its marker.  Heartbeats ride on the same callbacks as snapshots, so
+"lease is fresh" implies "work is checkpointed no older than the
+heartbeat", which is what makes the lease timeout a bound on lost work.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def run_worker(
     poll_seconds: float = 0.2,
     wait_for_complete: bool = True,
 ) -> dict:
-    """Claim and run shards until the campaign is complete.
+    """Claim and run shards until every shard is marked complete.
 
     With ``wait_for_complete`` (the service default) a worker that finds
     every incomplete shard leased elsewhere keeps polling - so it picks
@@ -141,7 +144,7 @@ def run_worker(
         progress = False
         all_complete = True
         for shard in campaign.shards:
-            if campaign.shard_complete(shard):
+            if campaign.marker_path(shard).exists():
                 continue
             all_complete = False
             lease_path = campaign.lease_path(shard)

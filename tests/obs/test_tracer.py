@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from repro.obs import (
     EVENT_FIELDS,
     NULL_TRACER,
-    JsonlTracer,
     RecordingTracer,
     Tracer,
     merge_traces,
@@ -58,24 +56,6 @@ class TestRecordingTracer:
 
 
 class TestJsonlSinks:
-    def test_jsonl_tracer_streams_valid_lines(self):
-        buffer = io.StringIO()
-        with JsonlTracer(buffer) as tracer:
-            tracer.emit("uncorrectable", 5.0, region=0, count=1)
-            tracer.emit("retire", 6.0, region=0, count=1)
-        lines = buffer.getvalue().splitlines()
-        assert len(lines) == 2
-        records = [json.loads(line) for line in lines]
-        assert [r["seq"] for r in records] == [0, 1]
-        assert records[0]["event"] == "uncorrectable"
-
-    def test_jsonl_tracer_path_sink(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlTracer(path) as tracer:
-            tracer.emit("retire", 1.0, region=2, count=4)
-        record = json.loads(path.read_text())
-        assert record == {"event": "retire", "t": 1.0, "seq": 0, "region": 2, "count": 4}
-
     def test_write_trace_roundtrip(self, tmp_path):
         tracer = RecordingTracer()
         tracer.emit("uncorrectable", 1.0, region=0, count=1)

@@ -141,7 +141,6 @@ class TestMalformedJournal:
         with open(path, "a") as handle:
             record = {"kind": "device", "index": shard.start, "lot": "a"}
             handle.write(json.dumps(record) + "\n")
-        assert not campaign.shard_complete(shard)
         message = re.escape(
             f"{path} device {shard.start} is malformed: field seed: is required"
         )

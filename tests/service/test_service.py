@@ -20,13 +20,18 @@ import pytest
 
 from repro import units
 from repro.fleet import FleetSpec, Lot, LotParameter, run_campaign
+from repro.fleet.checkpoint import open_journal
 from repro.service import (
+    ServeFailed,
     campaign_status,
     final_report,
+    jobs,
+    leases,
     repair_campaign,
     run_worker,
     serve_campaign,
     submit_campaign,
+    supervisor,
     watch_campaign,
 )
 from repro.service.jobs import load_campaign
@@ -259,6 +264,84 @@ class TestStreaming:
         submit_campaign(spec, root, shards=1)
         with pytest.raises(TimeoutError):
             watch_campaign(root, interval=0.01, timeout=0.05)
+
+
+def _counting(calls: list, function):
+    def counted(*args, **kwargs):
+        calls.append(multiprocessing.active_children())
+        return function(*args, **kwargs)
+
+    return counted
+
+
+class TestScheduling:
+    """The schedulers decide from exit codes and shard markers, not journals."""
+
+    def test_serve_reads_status_once_after_its_workers(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "camp"
+        submit_campaign(make_spec(devices=4), root, shards=2)
+        calls = []
+        monkeypatch.setattr(
+            supervisor, "campaign_status",
+            _counting(calls, supervisor.campaign_status),
+        )
+        summary = serve_campaign(root, workers=2, lease_timeout=10.0)
+        assert summary["finished"] and summary["worker_deaths"] == 0
+        # One call, and no worker was alive when it was made.
+        assert calls == [[]]
+
+    def test_lost_marker_is_restored_without_rerunning(self, tmp_path):
+        root = tmp_path / "camp"
+        campaign = submit_campaign(make_spec(devices=4), root, shards=2)
+        first = campaign.shards[0]
+        run_shard(campaign, first)
+        journal = campaign.journal_path(first).read_bytes()
+        # A kill between the shard's last append and its marker.
+        campaign.marker_path(first).unlink()
+        outcome = run_worker(root, worker_id="w", wait_for_complete=False)
+        assert outcome["shards"] == [0, 1]
+        assert outcome["devices_executed"] == campaign.shards[1].count
+        marker = json.loads(campaign.marker_path(first).read_text())
+        assert marker["executed"] == 0
+        assert campaign.journal_path(first).read_bytes() == journal
+
+    def test_claim_scan_reads_no_journal(self, tmp_path, monkeypatch):
+        spec = make_spec(devices=4)
+        root = tmp_path / "camp"
+        campaign = submit_campaign(spec, root, shards=2)
+        run_shard(campaign, campaign.shards[0])
+        pending = campaign.shards[1]
+        open_journal(campaign.journal_path(pending), campaign.spec_hash, spec.name)
+        assert leases.try_acquire(campaign.lease_path(pending), "holder")
+
+        def no_journal(*args, **kwargs):
+            raise AssertionError("the claim scan read a journal")
+
+        monkeypatch.setattr(jobs, "load_journal", no_journal)
+        outcome = run_worker(root, worker_id="scanner", wait_for_complete=False)
+        assert outcome["shards"] == [] and outcome["devices_executed"] == 0
+
+    def test_dead_workers_are_repaired_replaced_then_serve_fails(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "camp"
+        campaign = submit_campaign(make_spec(devices=3), root, shards=1)
+        # Every worker dies resuming device 0 from this snapshot.
+        campaign.snapshot_path(0).write_bytes(b"not a snapshot")
+        repairs = []
+        monkeypatch.setattr(
+            supervisor, "repair_campaign",
+            _counting(repairs, supervisor.repair_campaign),
+        )
+        with pytest.raises(
+            ServeFailed,
+            match=r"3 devices pending \(2 worker deaths, restart budget 1\)",
+        ):
+            serve_campaign(root, workers=1, max_restarts=1, lease_timeout=10.0)
+        # The first death is repaired and replaced, the second only repaired.
+        assert repairs == [[], []]
 
 
 class TestRepair:

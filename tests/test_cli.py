@@ -438,6 +438,22 @@ class TestUserErrors:
             (["provision", "--budget", "0"], "--budget must be in (0, 1], got 0.0"),
             (["provision", "--budget", "1e-4", "2"],
              "--budget must be in (0, 1], got 2.0"),
+            # Output paths under a regular file fail before any work.
+            (["fleet", "spec.json", "--json", "journal.jsonl/r.json"],
+             "--json must be a file path whose parents are directories, "
+             "got 'journal.jsonl/r.json'"),
+            (["fleet", "spec.json", "--checkpoint", "journal.jsonl/j.jsonl"],
+             "--checkpoint must be a file path whose parents are "
+             "directories, got 'journal.jsonl/j.jsonl'"),
+            (["sweep", "--timeseries", "journal.jsonl/ts.json"],
+             "--timeseries must be a file path whose parents are "
+             "directories, got 'journal.jsonl/ts.json'"),
+            (["trace", "--out", "journal.jsonl/x"],
+             "--out must be a directory path whose parents are "
+             "directories, got 'journal.jsonl/x'"),
+            (["status", "camp", "--json", "camp"],
+             "--json must be a file path whose parents are directories, "
+             "got 'camp'"),
         ],
         ids=[
             "status-missing", "watch-missing", "repair-missing",
@@ -446,7 +462,9 @@ class TestUserErrors:
             "shards-zero", "strength-zero", "samples-zero",
             "snapshot-budget-zero", "no-feasible-assignment",
             "export-suffix", "strengths-zero", "lines-per-bank-zero",
-            "budget-zero", "budget-above-one",
+            "budget-zero", "budget-above-one", "json-under-file",
+            "checkpoint-under-file", "timeseries-under-file",
+            "trace-out-under-file", "json-is-directory",
         ],
     )
     def test_exits_as_one_pcm_scrub_line(self, argv, message, workdir):
