@@ -150,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--workload", choices=["idle", "uniform", "zipf"], default="idle"
     )
-    workload.add_argument("--write-rate", type=float, default=100.0)
+    workload.add_argument(
+        "--write-rate", type=_non_negative("--write-rate", "non-negative and finite"),
+        default=100.0,
+    )
 
     obs = argparse.ArgumentParser(add_help=False)
     obs.add_argument(
@@ -215,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcm-scrub",
         description="Drift-aware scrub mechanisms for MLC PCM (HPCA 2012 reproduction)",
     )
-    parser.add_argument("--seed", type=int, default=2012)
+    parser.add_argument(
+        "--seed",
+        type=_checked(int, "--seed", "in [0, 2**63)", lambda value: 0 <= value < 2**63),
+        default=2012,
+    )
     parser.add_argument("--lines", type=int, default=8192, help="Monte-Carlo lines")
     parser.add_argument(
         "--horizon-days", type=float, default=14.0, help="simulated days"
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--temperature", type=float, default=300.0, help="kelvin"
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_count("--jobs"), default=None,
         help="worker processes for sweeps, campaigns, and surrogate "
         "screening/provisioning (default: CPU-count aware)",
     )
@@ -379,10 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(crashed workers are repaired and replaced)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="worker processes"
+        "--workers", type=_count("--workers"), default=2, help="worker processes"
     )
     serve.add_argument(
-        "--max-restarts", type=int, default=3,
+        "--max-restarts",
+        type=_checked(int, "--max-restarts", ">= 0", lambda value: value >= 0),
+        default=3,
         help="replacement workers before giving up",
     )
     serve.add_argument(
@@ -487,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs is None:
-        return default_jobs()
-    return max(1, args.jobs)
+    return default_jobs() if args.jobs is None else args.jobs
 
 
 def _obs_config(args: argparse.Namespace, horizon: float) -> ObsConfig:

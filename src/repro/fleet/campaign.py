@@ -126,7 +126,7 @@ class CampaignRunner:
                     f"subset indices {bad[:4]} outside fleet of {spec.devices}"
                 )
         self.spec = spec
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.checkpoint = None if checkpoint is None else Path(checkpoint)
         self.resume = resume
         self.stop_after = stop_after

@@ -9,10 +9,7 @@ Three pillars, all zero-overhead when disabled (the default):
 * **metrics + time series** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.sampler`) - a counters/gauges/histograms registry
   snapshotted every N simulated seconds, with a final sample exactly at
-  the horizon that matches the run's end-of-run aggregates; process-wide
-  subsystem telemetry also lands in :data:`GLOBAL_REGISTRY` (the
-  distribution-cache and ``surrogate_memo`` counter groups, the
-  ``screen_*`` / ``provision_*`` / ``surrogate_batch_*`` gauges);
+  the horizon that matches the run's end-of-run aggregates;
 * **profiling** (:mod:`repro.obs.profile`) - per-phase wall-time spans
   (tabulate / simulate / visit / demand / decode) collected into a report.
 
@@ -28,14 +25,7 @@ regardless of worker placement.  See ``examples/observability.py``.
 from __future__ import annotations
 
 from .config import ObsConfig
-from .metrics import (
-    GLOBAL_REGISTRY,
-    Counter,
-    CounterGroup,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import NULL_PROFILER, NullProfiler, Profiler, merge_profiles
 from .sampler import PeriodicSampler, TimeSeries, merge_timeseries
 from .session import Observation
@@ -50,11 +40,9 @@ from .trace import (
 
 __all__ = [
     "EVENT_FIELDS",
-    "GLOBAL_REGISTRY",
     "NULL_PROFILER",
     "NULL_TRACER",
     "Counter",
-    "CounterGroup",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

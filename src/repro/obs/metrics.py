@@ -1,15 +1,9 @@
-"""Metrics registry: counters, gauges, histograms, and named groups.
+"""Metrics registry: counters, gauges and histograms of one run.
 
-One registry per run (or per process, for process-lifetime tallies such as
-the distribution-cache hit counters) replaces the ad-hoc dicts that used to
-live wherever a counter was needed.  Instruments are create-on-first-use,
-and :meth:`MetricsRegistry.snapshot` flattens everything into one
-JSON-serializable dict - the unit the periodic sampler stores per sample.
-
-:class:`CounterGroup` subclasses ``dict`` so existing call sites that
-treat a counter set as a plain mapping (``group["memory"] += 1``,
-``dict(group)``, equality against dict literals) keep working unchanged
-while the group participates in registry snapshots.
+Each :class:`repro.obs.session.Observation` owns one registry.
+Instruments are create-on-first-use, and :meth:`MetricsRegistry.snapshot`
+flattens everything into one JSON-serializable dict - the unit the
+periodic sampler stores per sample.
 """
 
 from __future__ import annotations
@@ -32,9 +26,6 @@ class Counter:
             raise ValueError("counters only increase; use a gauge instead")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
 
 class Gauge:
     """A point-in-time float (set, not accumulated)."""
@@ -46,9 +37,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -75,22 +63,8 @@ class Histogram:
             raise ValueError("histogram shape mismatch")
         self.bins = bins.copy()
 
-    def reset(self) -> None:
-        self.bins[:] = 0
-
     def to_list(self) -> list[int]:
         return [int(v) for v in self.bins]
-
-
-class CounterGroup(dict):
-    """A named set of integer counters with plain-``dict`` semantics."""
-
-    def __init__(self, keys: Iterable[str]):
-        super().__init__({key: 0 for key in keys})
-
-    def reset(self) -> None:
-        for key in self:
-            self[key] = 0
 
 
 class MetricsRegistry:
@@ -100,7 +74,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._groups: dict[str, CounterGroup] = {}
 
     def counter(self, name: str) -> Counter:
         return self._counters.setdefault(name, Counter())
@@ -115,9 +88,6 @@ class MetricsRegistry:
                 raise ValueError(f"histogram {name!r} already has a different size")
             return existing
         return self._histograms.setdefault(name, Histogram(size))
-
-    def group(self, name: str, keys: Iterable[str]) -> CounterGroup:
-        return self._groups.setdefault(name, CounterGroup(keys))
 
     # -- folding in the legacy counter homes ---------------------------------
 
@@ -145,22 +115,6 @@ class MetricsRegistry:
             out[name] = counter.value
         for name, gauge in self._gauges.items():
             out[name] = gauge.value
-        for name, group in self._groups.items():
-            for key, value in group.items():
-                out[f"{name}.{key}"] = value
         for name, histogram in self._histograms.items():
             out[name] = histogram.to_list()
         return out
-
-    def reset(self) -> None:
-        for store in (self._counters, self._gauges, self._histograms):
-            for instrument in store.values():
-                instrument.reset()
-        for group in self._groups.values():
-            group.reset()
-
-
-#: Process-lifetime registry for cross-run tallies (e.g. the distribution
-#: tabulation cache in :mod:`repro.sim.runner`).  Per-run telemetry uses a
-#: fresh registry on its :class:`repro.obs.session.Observation`.
-GLOBAL_REGISTRY = MetricsRegistry()

@@ -59,7 +59,6 @@ from ..fields import (
 from ..fleet.campaign import CampaignRunner
 from ..fleet.report import FIT_HOURS, per_gib
 from ..fleet.spec import DeviceSpec, FleetSpec, Lot
-from ..obs.metrics import GLOBAL_REGISTRY
 from ..pcm.energy import OperationCosts
 from ..screen.planner import (
     UNCERTAIN, ScreenConstraints, classify, regime_reasons, surrogate_point,
@@ -443,7 +442,7 @@ class ProvisionSearch:
         self.cost_model = CostModel() if cost_model is None else cost_model
         self.fit_limit = fit_limit
         self.confidence = confidence
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.exhaustive = exhaustive
         self.extra_candidates = tuple(extra_candidates)
         for candidate in self.extra_candidates:
@@ -625,8 +624,6 @@ class ProvisionSearch:
             raise ProvisionError("candidate space is empty after dedup")
         lots = []
         mc_device_runs = 0
-        surrogate_candidates = 0
-        escalated_candidates = 0
         for lot in self.spec.lots:
             indices = self.spec.lot_indices(lot.name)
             # One device list and one tabulated distribution per device
@@ -654,12 +651,6 @@ class ProvisionSearch:
                 )
             )
             mc_device_runs += sum(e.mc_devices for e in evaluations)
-            surrogate_candidates += sum(
-                1 for e in evaluations if e.method == SURROGATE
-            )
-            escalated_candidates += sum(
-                1 for e in evaluations if e.mc_devices > 0
-            )
             frontier = pareto_frontier(
                 e.point() for e in evaluations if e.feasible
             )
@@ -681,7 +672,7 @@ class ProvisionSearch:
                 len(lots[-1].frontier), recommended,
             )
 
-        report = ProvisionReport(
+        return ProvisionReport(
             name=self.spec.name,
             spec_hash=self.spec.content_hash(),
             devices=self.spec.devices,
@@ -694,18 +685,4 @@ class ProvisionSearch:
             lots=tuple(lots),
             mc_device_runs=mc_device_runs,
         ).attach_spec(self.spec)
-        total_evals = len(candidates) * len(self.spec.lots)
-        GLOBAL_REGISTRY.gauge("provision_lots").set(len(self.spec.lots))
-        GLOBAL_REGISTRY.gauge("provision_candidates").set(total_evals)
-        GLOBAL_REGISTRY.gauge("provision_surrogate_candidates").set(
-            surrogate_candidates
-        )
-        GLOBAL_REGISTRY.gauge("provision_escalated_candidates").set(
-            escalated_candidates
-        )
-        GLOBAL_REGISTRY.gauge("provision_mc_device_runs").set(mc_device_runs)
-        GLOBAL_REGISTRY.gauge("provision_frontier_size").set(
-            sum(len(lot.frontier) for lot in lots)
-        )
-        return report
 

@@ -68,7 +68,6 @@ from ..analysis.stats import poisson_quantile
 from ..fields import dump, load
 from ..fleet.report import FIT_HOURS
 from ..fleet.spec import DeviceSpec, FleetSpec
-from ..obs.metrics import GLOBAL_REGISTRY
 from ..sim.parallel import parallel_map
 from ..sim.renewal import FiniteHorizonSolution
 from ..sim.renewal_batch import RenewalTask, finite_horizon_batch
@@ -456,10 +455,7 @@ def plan_screen(
     decision every device copies.  Only the devices of in-regime lots
     with spread are sampled one by one, in contiguous chunks that fan
     out over :func:`repro.sim.parallel.parallel_map` when ``jobs > 1``.
-    Also publishes ``screen_*`` gauges into the process metrics
-    registry.
     """
-    jobs = max(1, int(jobs))
     decisions: list[ScreenDecision | None] = [None] * spec.devices
     lot_points: dict[str, tuple[float, int, int]] = {}
     points: list[tuple[range, DeviceSpec]] = []
@@ -492,17 +488,8 @@ def plan_screen(
     for decision in found:
         decisions[decision.index] = decision
 
-    plan = ScreenPlan(
+    return ScreenPlan(
         spec_hash=spec.content_hash(),
         constraints=constraints,
         decisions=tuple(decisions),
     )
-    counts = plan.counts()
-    GLOBAL_REGISTRY.gauge("screen_devices").set(plan.devices)
-    GLOBAL_REGISTRY.gauge("screen_surrogate").set(plan.devices - counts[UNCERTAIN])
-    GLOBAL_REGISTRY.gauge("screen_escalated").set(counts[UNCERTAIN])
-    GLOBAL_REGISTRY.gauge("screen_pass").set(counts[PASS])
-    GLOBAL_REGISTRY.gauge("screen_fail").set(counts[FAIL])
-    GLOBAL_REGISTRY.gauge("screen_uncertain").set(counts[UNCERTAIN])
-    GLOBAL_REGISTRY.gauge("screen_mc_fraction").set(plan.mc_fraction)
-    return plan

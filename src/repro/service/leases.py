@@ -7,7 +7,8 @@ refreshes the lease's ``heartbeat`` timestamp through an atomic
 rewrite, so readers never see a torn lease.  A lease whose heartbeat is
 older than the timeout (or whose pid is provably dead on this host) is
 *stale*: any worker - or an explicit ``pcm-scrub repair`` - may break it
-and re-queue the shard.
+and re-queue the shard.  Since no lease is ever seen mid-write, a lease
+file that does not parse is stale too (:class:`UnreadableLease`).
 
 The steal path (read, judge stale, unlink, re-acquire) has a classic
 window: between the staleness read and the unlink, the original owner
@@ -66,6 +67,23 @@ class Lease:
         return False
 
 
+@dataclass(frozen=True)
+class UnreadableLease:
+    """A lease file that exists but does not parse: stale by rule.
+
+    It names no holder; its heartbeat is the file's modification time.
+    """
+
+    heartbeat: float
+    worker = None
+
+    def age(self, now: float | None = None) -> float:
+        return (time.time() if now is None else now) - self.heartbeat
+
+    def is_stale(self, timeout: float, now: float | None = None) -> bool:
+        return True
+
+
 def _pid_alive(pid: int) -> bool:
     if pid <= 0:
         return False
@@ -120,13 +138,24 @@ def refresh(path: str | Path, lease: Lease) -> Lease:
     return refreshed
 
 
+def load_lease(path: str | Path) -> Lease | UnreadableLease | None:
+    """Parse a lease file; ``None`` when absent."""
+    path = Path(path)
+    try:
+        return Lease.from_dict(json.loads(path.read_text()))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):  # JSONDecodeError and FieldError included
+        try:
+            return UnreadableLease(heartbeat=path.stat().st_mtime)
+        except FileNotFoundError:
+            return None
+
+
 def read_lease(path: str | Path) -> Lease | None:
     """Parse a lease file; ``None`` when absent or unreadable."""
-    try:
-        data = json.loads(Path(path).read_text())
-        return Lease.from_dict(data)
-    except (OSError, ValueError):  # JSONDecodeError and FieldError included
-        return None
+    lease = load_lease(path)
+    return lease if isinstance(lease, Lease) else None
 
 
 def release(path: str | Path) -> None:
@@ -135,7 +164,7 @@ def release(path: str | Path) -> None:
 
 def break_if_stale(
     path: str | Path, timeout: float = DEFAULT_LEASE_TIMEOUT
-) -> Lease | None:
+) -> Lease | UnreadableLease | None:
     """Remove the lease if its holder looks dead; return the broken lease.
 
     Returns ``None`` when the lease is absent or still fresh.  Losing an
@@ -143,7 +172,7 @@ def break_if_stale(
     claimable either way.
     """
     path = Path(path)
-    lease = read_lease(path)
+    lease = load_lease(path)
     if lease is None or not lease.is_stale(timeout):
         return None
     try:

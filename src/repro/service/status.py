@@ -9,12 +9,9 @@ Journals only ever grow, so successive status snapshots have monotone
 non-decreasing device counts; once every device is present the partial
 path collapses to the exact :func:`repro.fleet.report.aggregate`, making
 the final streamed report byte-identical to a batch ``pcm-scrub fleet``
-run of the same spec.
-
-Each call also publishes service health into the process metrics
-registry (:data:`repro.obs.metrics.GLOBAL_REGISTRY`): queue depth,
-live/stale worker counts, completed devices/shards, and mean shard
-latency from the ``.done`` markers.
+run of the same spec.  Each snapshot also carries service health: queue
+depth, live/stale worker counts, and mean shard latency from the
+``.done`` markers.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import math
 import time as _time
 
 from ..fleet.report import aggregate, aggregate_partial, merge_records
-from ..obs.metrics import GLOBAL_REGISTRY
 from ..screen import compose_screened_report
 from . import leases
 from .jobs import load_campaign
@@ -56,7 +52,7 @@ def campaign_status(
         records = campaign.shard_records(shard)
         all_records = merge_records(all_records, records)
         complete = len(records) == shard.count
-        lease = leases.read_lease(campaign.lease_path(shard))
+        lease = leases.load_lease(campaign.lease_path(shard))
         if complete:
             state = "complete"
         elif lease is None:
@@ -99,16 +95,6 @@ def campaign_status(
         if shard_latencies
         else None
     )
-
-    GLOBAL_REGISTRY.gauge("service_queue_depth").set(queue_depth)
-    GLOBAL_REGISTRY.gauge("service_workers_alive").set(workers_alive)
-    GLOBAL_REGISTRY.gauge("service_workers_stale").set(workers_stale)
-    GLOBAL_REGISTRY.gauge("service_devices_done").set(devices_done)
-    GLOBAL_REGISTRY.gauge("service_shards_complete").set(
-        sum(1 for row in shard_rows if row["state"] == "complete")
-    )
-    if mean_latency is not None:
-        GLOBAL_REGISTRY.gauge("service_shard_wall_seconds_mean").set(mean_latency)
 
     report = None
     if include_report:

@@ -74,8 +74,11 @@ def serve_campaign(
     Raises :class:`ServeFailed` when devices are still pending once the
     workers are gone.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts!r}")
     campaign = load_campaign(root)
-    workers = max(1, workers)
     context = multiprocessing.get_context("spawn")
 
     def spawn(index: int, generation: int):

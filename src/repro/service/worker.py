@@ -28,19 +28,12 @@ import uuid
 
 from ..fleet.checkpoint import append_device, open_journal
 from ..fleet.report import DeviceRecord
-from ..obs.metrics import GLOBAL_REGISTRY
 from ..sim.snapshot import DEFAULT_SNAPSHOT_BUDGET, run_resumable
 from . import leases
 from .jobs import Campaign, load_campaign, write_json
 from .shards import CampaignShard
 
 logger = logging.getLogger(__name__)
-
-#: Process-lifetime worker counters (devices and shards this process
-#: completed, lease steals it performed).
-WORKER_COUNTERS = GLOBAL_REGISTRY.group(
-    "service_worker", ("devices", "shards", "steals")
-)
 
 
 class _Heartbeat:
@@ -99,7 +92,6 @@ def run_shard(
         append_device(journal, record.to_dict())
         snapshot_path.unlink(missing_ok=True)
         executed += 1
-        WORKER_COUNTERS["devices"] += 1
         if heartbeat is not None:
             heartbeat.beat()
 
@@ -113,7 +105,6 @@ def run_shard(
             "worker": heartbeat.lease.worker if heartbeat is not None else None,
         },
     )
-    WORKER_COUNTERS["shards"] += 1
     return executed
 
 
@@ -150,7 +141,6 @@ def run_worker(
             lease_path = campaign.lease_path(shard)
             broken = leases.break_if_stale(lease_path, lease_timeout)
             if broken is not None:
-                WORKER_COUNTERS["steals"] += 1
                 logger.warning(
                     "worker %s: broke stale lease on %s (held by %s, "
                     "heartbeat %.1fs ago)",

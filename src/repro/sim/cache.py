@@ -27,7 +27,6 @@ from typing import Any
 import numpy as np
 
 from ..durable import atomic_write
-from ..obs.metrics import GLOBAL_REGISTRY
 
 
 def cache_dir() -> Path | None:
@@ -46,14 +45,13 @@ class ArrayCache:
     The LRU holds whatever the owner builds from the arrays; the files
     hold the float arrays named by ``members``.  :meth:`get` and
     :meth:`load` count their hits in ``counters["memory"]`` and
-    ``counters["disk"]`` (a registry group named ``name``); the owner
-    counts each computation under ``miss``.  ``check`` is the owner's
-    extra validity test on loaded arrays.
+    ``counters["disk"]``; the owner counts each computation under
+    ``miss``.  ``check`` is the owner's extra validity test on loaded
+    arrays.
     """
 
     def __init__(
         self,
-        name: str,
         prefix: str,
         members: Sequence[str],
         capacity: int,
@@ -64,7 +62,7 @@ class ArrayCache:
         self.members = tuple(members)
         self.capacity = capacity
         self.check = check
-        self.counters = GLOBAL_REGISTRY.group(name, ("memory", "disk", miss))
+        self.counters = {"memory": 0, "disk": 0, miss: 0}
         self._memory: OrderedDict[str, Any] = OrderedDict()
 
     def __len__(self) -> int:
@@ -131,4 +129,5 @@ class ArrayCache:
     def clear(self) -> None:
         """Drop the in-process layer and zero the counters; files stay."""
         self._memory.clear()
-        self.counters.reset()
+        for key in self.counters:
+            self.counters[key] = 0

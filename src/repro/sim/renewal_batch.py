@@ -35,10 +35,7 @@ gets its own solution, in input order.
 Consumers: :func:`repro.screen.planner.plan_screen` (one call per
 chunk, one task per device) and
 :class:`repro.provision.search.ProvisionSearch` (one call per lot
-covering the whole candidate grid).  Batch telemetry lands in the
-process metrics registry as ``surrogate_batch_*`` gauges
-(``surrogate_batch_tasks`` counts the input tasks) and the
-``surrogate_memo`` counter group, which counts each distinct task once.
+covering the whole candidate grid).
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..obs.metrics import GLOBAL_REGISTRY
 from .analytic import CrossingDistribution, _log_comb
 from .cache import ArrayCache
 from .renewal import (
@@ -73,7 +69,6 @@ def _valid_resolution(u: np.ndarray, w: np.ndarray) -> bool:
 #: ``memory``, ``disk`` or ``computed``.  Equal tasks inside one batch
 #: call count once - they collapse to one row before any lookup.
 PROPAGATIONS = ArrayCache(
-    "surrogate_memo",
     prefix="renewal",
     members=("u", "w"),
     capacity=4096,
@@ -305,7 +300,6 @@ def finite_horizon_batch(
         key = (visits, task.t_ecc, task.threshold, task.cells_per_line)
         groups.setdefault(key, []).append(i)
 
-    propagated = 0
     for (visits, t_ecc, threshold, cells), members in groups.items():
         n_prop = min(MAX_VISITS, visits)
         resolved: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
@@ -333,7 +327,6 @@ def finite_horizon_batch(
                 [task.interval for task in rep_tasks],
                 t_ecc, threshold, cells, n_prop,
             )
-            propagated += len(pending)
             SURROGATE_MEMO_COUNTERS["computed"] += len(pending)
             for r, (key, positions) in enumerate(pending.items()):
                 value = (u2d[r].copy(), w2d[r].copy())
@@ -359,7 +352,4 @@ def finite_horizon_batch(
                 no_ue_probability=float(no_ue[pos]),
             )
 
-    GLOBAL_REGISTRY.gauge("surrogate_batch_tasks").set(len(tasks))
-    GLOBAL_REGISTRY.gauge("surrogate_batch_groups").set(len(groups))
-    GLOBAL_REGISTRY.gauge("surrogate_batch_propagations").set(propagated)
     return [solutions[row] for row in slots]

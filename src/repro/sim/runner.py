@@ -44,7 +44,6 @@ from .rng import RngStreams
 #: was satisfied: ``memory``, ``disk`` (loaded a persisted tabulation)
 #: or ``tabulated`` (computed from scratch).
 TABULATIONS = ArrayCache(
-    "distribution_cache",
     prefix="crossing",
     members=("grid", "per_level_cdf"),
     capacity=8,

@@ -40,9 +40,13 @@ Snapshots refuse to capture runs with observability or verification
 enabled (both hold in-memory event state a resume cannot reconstruct;
 fleet devices run with both off).  Each snapshot embeds a format version
 and a caller-supplied *fingerprint* (the service uses
-``"<spec-hash>/device-<index>"``), and :meth:`EngineSnapshot.apply`
-refuses version, fingerprint, engine-mode, or geometry mismatches rather
-than resuming into a different experiment.
+``"<spec-hash>/device-<index>"``).  :meth:`EngineSnapshot.load` refuses a
+file it cannot read or of another format version, and
+:meth:`EngineSnapshot.apply` refuses fingerprint, engine-mode, or
+geometry mismatches rather than resuming into a different experiment.
+:func:`run_resumable` treats the first as absent - the device is
+deterministic, so rerunning it from the start gives the same result -
+and raises on the second, which points to a mixed-up directory.
 
 Snapshot files are written with :func:`repro.durable.atomic_write`, so
 a worker killed mid-save leaves the previous snapshot intact, never a
@@ -52,7 +56,9 @@ torn one.
 from __future__ import annotations
 
 import json
+import logging
 import time as _time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +72,8 @@ from .config import SimulationConfig
 from .population import PopulationEngine
 from .results import RunResult
 from .runner import build_engine, finalize_result
+
+logger = logging.getLogger(__name__)
 
 #: Snapshot format version; bumped on any layout or semantics change.
 SNAPSHOT_VERSION = 1
@@ -174,11 +182,6 @@ class EngineSnapshot:
     def apply(self, engine: PopulationEngine, fingerprint: str) -> None:
         """Restore this snapshot into a freshly built, unstarted engine."""
         meta = self.meta
-        if meta["version"] != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot format version {meta['version']!r}; this build "
-                f"reads version {SNAPSHOT_VERSION}"
-            )
         if meta["fingerprint"] != fingerprint:
             raise SnapshotError(
                 f"snapshot belongs to {meta['fingerprint']!r}, not "
@@ -266,15 +269,23 @@ class EngineSnapshot:
 
     @classmethod
     def load(cls, path: str | Path) -> "EngineSnapshot":
-        """Read a snapshot written by :meth:`save`."""
+        """Read a snapshot that :meth:`save` wrote in this build's format."""
         try:
-            with np.load(path) as payload:
+            # np.load leaks the file it opened when the zip directory is
+            # bad, so it reads from a handle this ``with`` closes.
+            with open(path, "rb") as handle, np.load(handle) as payload:
                 arrays = {
                     key: payload[key] for key in payload.files if key != "__meta__"
                 }
                 meta = json.loads(bytes(payload["__meta__"]).decode())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
+            version = meta["version"]
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
             raise SnapshotError(f"snapshot {path} is unreadable: {error}") from None
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot {path} has format version {version!r}; this build "
+                f"reads version {SNAPSHOT_VERSION}"
+            )
         return cls(meta, arrays)
 
 
@@ -294,9 +305,11 @@ def run_resumable(
 ) -> RunResult:
     """Run one device with periodic mid-horizon snapshots.
 
-    If ``snapshot_path`` exists, the run resumes from it; otherwise it
-    starts fresh.  Every ``snapshot_budget`` engine events the current
-    state is saved atomically (and ``on_checkpoint()`` invoked - the
+    If ``snapshot_path`` holds a snapshot this build can read, the run
+    resumes from it; otherwise it starts fresh, and an unreadable file is
+    deleted with a warning.  A readable snapshot of another run raises
+    :class:`SnapshotError`.  Every ``snapshot_budget`` engine events the
+    current state is saved atomically (and ``on_checkpoint()`` invoked - the
     service worker heartbeats there), so a SIGKILL at any point loses at
     most one budget's worth of events and the rerun is bit-identical to
     an uninterrupted one.  The snapshot file is left in place on return;
@@ -308,7 +321,13 @@ def run_resumable(
     engine = build_engine(policy, config, rates)
     started = _time.perf_counter()
     if snapshot_path.exists():
-        EngineSnapshot.load(snapshot_path).apply(engine, fingerprint)
+        try:
+            snapshot = EngineSnapshot.load(snapshot_path)
+        except SnapshotError as error:
+            logger.warning("%s; running the device from the start", error)
+            snapshot_path.unlink(missing_ok=True)
+        else:
+            snapshot.apply(engine, fingerprint)
     while True:
         engine.simulate(budget=snapshot_budget)
         if engine.complete:

@@ -1,4 +1,4 @@
-"""Metrics registry unit tests: instruments, groups, snapshots."""
+"""Metrics registry unit tests: instruments and snapshots."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro import units
 from repro.core import basic_scrub
-from repro.obs import Counter, CounterGroup, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim import SimulationConfig, run_experiment
 
 
@@ -21,8 +21,6 @@ class TestInstruments:
         assert counter.value == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
-        counter.reset()
-        assert counter.value == 0
 
     def test_gauge_sets(self):
         gauge = Gauge()
@@ -46,16 +44,6 @@ class TestInstruments:
             histogram.set_from(np.zeros(5, dtype=np.int64))
 
 
-class TestCounterGroup:
-    def test_plain_dict_semantics(self):
-        group = CounterGroup(("memory", "disk"))
-        group["memory"] += 2
-        assert group == {"memory": 2, "disk": 0}
-        assert dict(group) == {"memory": 2, "disk": 0}
-        group.reset()
-        assert group == {"memory": 0, "disk": 0}
-
-
 class TestRegistry:
     def test_create_on_first_use_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -69,14 +57,11 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("runs").inc(3)
         registry.gauge("temp").set(2.5)
-        registry.group("cache", ("hit", "miss"))["hit"] += 1
         registry.histogram("errs", 2).observe([0, 1, 1])
         snapshot = registry.snapshot()
         assert snapshot == {
             "runs": 3,
             "temp": 2.5,
-            "cache.hit": 1,
-            "cache.miss": 0,
             "errs": [1, 2],
         }
         json.dumps(snapshot)  # JSON-serializable as-is

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro import units
 from repro.fleet import Lot, LotParameter, run_campaign
 from repro.fleet.report import FIT_HOURS
-from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.provision import (
     Candidate,
     CandidateSpace,
@@ -307,22 +306,6 @@ class TestSearchRouting:
             assert any(name in str(error) for name in invalid), (invalid, error)
             return
         assert not invalid
-
-    def test_gauges_published(self):
-        report = ProvisionSearch(make_spec(), small_space()).run()
-        assert GLOBAL_REGISTRY.gauge("provision_lots").value == len(report.lots)
-        assert (
-            GLOBAL_REGISTRY.gauge("provision_candidates").value
-            == report.candidates_evaluated
-        )
-        assert (
-            GLOBAL_REGISTRY.gauge("provision_mc_device_runs").value
-            == report.mc_device_runs
-        )
-        assert (
-            GLOBAL_REGISTRY.gauge("provision_frontier_size").value
-            == report.frontier_size
-        )
 
 
 @st.composite

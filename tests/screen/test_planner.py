@@ -258,18 +258,6 @@ class TestPlanInvariants:
                 spec_hash="x", constraints=constraints, decisions=(decision,)
             )
 
-    def test_gauges_published(self, spec, constraints):
-        from repro.obs.metrics import GLOBAL_REGISTRY
-
-        plan = plan_screen(spec, constraints)
-        assert GLOBAL_REGISTRY.gauge("screen_devices").value == spec.devices
-        assert GLOBAL_REGISTRY.gauge("screen_escalated").value == len(
-            plan.escalated
-        )
-        assert GLOBAL_REGISTRY.gauge("screen_mc_fraction").value == (
-            pytest.approx(plan.mc_fraction)
-        )
-
 
 def scalar_plan(monkeypatch, spec, constraints):
     """``plan_screen`` with the scalar oracle in place of the kernel."""

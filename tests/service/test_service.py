@@ -10,6 +10,7 @@ final streamed report equal to the batch one.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -38,6 +39,8 @@ from repro.service.jobs import load_campaign
 from repro.service.supervisor import _worker_main
 from repro.service.worker import run_shard
 from repro.sim.config import SimulationConfig
+from repro.sim.runner import build_engine
+from repro.sim.snapshot import SNAPSHOT_VERSION, EngineSnapshot
 
 
 def make_spec(devices=6, horizon=units.DAY, fast_forward=True) -> FleetSpec:
@@ -64,6 +67,17 @@ def make_spec(devices=6, horizon=units.DAY, fast_forward=True) -> FleetSpec:
 
 def batch_report_json(spec) -> str:
     return run_campaign(spec, jobs=1).report.to_json()
+
+
+def suspended_snapshot(campaign, index, fingerprint) -> EngineSnapshot:
+    """Device ``index`` of ``campaign`` suspended after one engine event."""
+    spec = campaign.spec
+    device = spec.device_spec(index)
+    run_spec = device.run_spec(*spec.policy_for(device.lot), spec.workload())
+    engine = build_engine(run_spec.build_policy(), run_spec.config, run_spec.rates)
+    engine.simulate(budget=1)
+    assert not engine.complete
+    return EngineSnapshot.capture(engine, fingerprint)
 
 
 class TestPoolIdentity:
@@ -328,8 +342,10 @@ class TestScheduling:
     ):
         root = tmp_path / "camp"
         campaign = submit_campaign(make_spec(devices=3), root, shards=1)
-        # Every worker dies resuming device 0 from this snapshot.
-        campaign.snapshot_path(0).write_bytes(b"not a snapshot")
+        # Every worker dies resuming device 0 from another run's snapshot.
+        suspended_snapshot(campaign, 0, "another-campaign/device-0").save(
+            campaign.snapshot_path(0)
+        )
         repairs = []
         monkeypatch.setattr(
             supervisor, "repair_campaign",
@@ -369,3 +385,64 @@ class TestRepair:
         outcome = repair_campaign(root, lease_timeout=60.0)
         assert outcome["leases_broken"] == []
         assert lease_path.exists()
+
+    def test_unreadable_lease_is_stale(self, tmp_path):
+        spec = make_spec(devices=4)
+        root = tmp_path / "camp"
+        campaign = submit_campaign(spec, root, shards=2)
+        lease_path = campaign.lease_path(campaign.shards[0])
+        lease_path.write_text("{not json")
+
+        row = campaign_status(root, lease_timeout=60.0)["shards"][0]
+        assert (row["state"], row["worker"]) == ("stalled", None)
+        broken = repair_campaign(root, lease_timeout=60.0)["leases_broken"]
+        assert [(entry["shard"], entry["worker"]) for entry in broken] == [(0, None)]
+        assert not lease_path.exists()
+
+        lease_path.write_text("{not json")
+        outcome = run_worker(
+            root, worker_id="w", lease_timeout=60.0, wait_for_complete=False
+        )
+        assert outcome["shards"] == [0, 1]
+        assert campaign_status(root)["devices_done"] == spec.devices
+
+    @pytest.mark.parametrize("kind", ["garbage", "truncated", "other-version"])
+    def test_unreadable_snapshot_reruns_the_device(self, tmp_path, kind):
+        spec = make_spec(devices=3)
+        straight = submit_campaign(spec, tmp_path / "straight", shards=1)
+        run_shard(straight, straight.shards[0])
+        campaign = submit_campaign(spec, tmp_path / "camp", shards=1)
+        path = campaign.snapshot_path(0)
+        snapshot = suspended_snapshot(campaign, 0, campaign.device_fingerprint(0))
+        if kind == "other-version":
+            snapshot.meta["version"] = SNAPSHOT_VERSION + 1
+        snapshot.save(path)
+        if kind == "truncated":
+            path.write_bytes(path.read_bytes()[:-64])
+        elif kind == "garbage":
+            path.write_bytes(b"not a snapshot")
+
+        run_shard(campaign, campaign.shards[0])
+        journaled = {
+            index: dataclasses.replace(record, runtime_seconds=0.0)
+            for index, record in campaign.shard_records(campaign.shards[0]).items()
+        }
+        expected = {
+            index: dataclasses.replace(record, runtime_seconds=0.0)
+            for index, record in straight.shard_records(straight.shards[0]).items()
+        }
+        assert journaled == expected
+        assert not list(campaign.snapshots_dir.iterdir())
+
+
+class TestServeArguments:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"workers": 0}, "workers must be >= 1"),
+         ({"max_restarts": -1}, "max_restarts must be >= 0")],
+    )
+    def test_bad_pool_sizes_raise(self, tmp_path, kwargs, message):
+        root = tmp_path / "camp"
+        submit_campaign(make_spec(devices=2), root, shards=1)
+        with pytest.raises(ValueError, match=message):
+            serve_campaign(root, **kwargs)

@@ -27,7 +27,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import units
-from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.params import CellSpec
 from repro.sim import renewal_batch
 from repro.sim.analytic import CrossingDistribution
@@ -225,13 +224,6 @@ class TestEqualTasks:
         finite_horizon_batch(tasks, units.DAY)
         assert SURROGATE_MEMO_COUNTERS["memory"] == len(distinct)
         assert SURROGATE_MEMO_COUNTERS["computed"] == len(distinct)
-
-    def test_task_gauge_reports_every_input_task(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
-        tasks = [_task()] * 7 + [_task(interval=4 * units.HOUR)]
-        finite_horizon_batch(tasks, units.DAY)
-        assert GLOBAL_REGISTRY.gauge("surrogate_batch_tasks").value == len(tasks)
-        assert GLOBAL_REGISTRY.gauge("surrogate_batch_propagations").value == 2
 
 
 # -- the propagation memo --------------------------------------------------------

@@ -454,6 +454,31 @@ class TestUserErrors:
             (["status", "camp", "--json", "camp"],
              "--json must be a file path whose parents are directories, "
              "got 'camp'"),
+            (["--jobs", "0", "--lines", "1024", "--horizon-days", "1",
+              "sweep", "--intervals", "3600"], "--jobs must be >= 1, got 0"),
+            (["--jobs", "-3", "--lines", "1024", "--horizon-days", "1",
+              "sweep", "--intervals", "3600"], "--jobs must be >= 1, got -3"),
+            (["serve", "camp", "--workers", "0"], "--workers must be >= 1, got 0"),
+            (["serve", "camp", "--max-restarts", "-4"],
+             "--max-restarts must be >= 0, got -4"),
+            (["--seed", "-1", "--lines", "1024", "--horizon-days", "1",
+              "sweep", "--intervals", "3600"],
+             "--seed must be in [0, 2**63), got -1"),
+            (["--seed", str(2**63), "--lines", "1024", "--horizon-days", "1",
+              "sweep", "--intervals", "3600"],
+             f"--seed must be in [0, 2**63), got {2**63}"),
+            (["--lines", "1024", "--horizon-days", "1", "compare",
+              "--workload", "uniform", "--write-rate", "-5"],
+             "--write-rate must be non-negative and finite, got -5.0"),
+            (["--lines", "1024", "--horizon-days", "1", "trace",
+              "--workload", "zipf", "--write-rate", "-1"],
+             "--write-rate must be non-negative and finite, got -1.0"),
+            (["--lines", "1024", "--horizon-days", "1", "compare",
+              "--workload", "uniform", "--write-rate", "nan"],
+             "--write-rate must be non-negative and finite, got nan"),
+            (["--lines", "1024", "--horizon-days", "1", "compare",
+              "--workload", "uniform", "--write-rate", "inf"],
+             "--write-rate must be non-negative and finite, got inf"),
         ],
         ids=[
             "status-missing", "watch-missing", "repair-missing",
@@ -464,7 +489,10 @@ class TestUserErrors:
             "export-suffix", "strengths-zero", "lines-per-bank-zero",
             "budget-zero", "budget-above-one", "json-under-file",
             "checkpoint-under-file", "timeseries-under-file",
-            "trace-out-under-file", "json-is-directory",
+            "trace-out-under-file", "json-is-directory", "jobs-zero",
+            "jobs-negative", "workers-zero", "max-restarts-negative",
+            "seed-negative", "seed-too-large", "write-rate-negative",
+            "trace-write-rate-negative", "write-rate-nan", "write-rate-inf",
         ],
     )
     def test_exits_as_one_pcm_scrub_line(self, argv, message, workdir):
